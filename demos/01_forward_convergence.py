@@ -30,7 +30,6 @@ def main():
     q = ScalarField.constant(grid, 2.0)
     report = solve_dirichlet(q, lambda x, y: np.cos(x) * np.cos(y))
     print(f"\n65x65 solve: method={report.method}, "
-          f"iterations={report.iterations}, "
           f"residual={report.residual_linf:.2e}, "
           f"spectral gap={report.eigen_gap_estimate:.3f}")
 

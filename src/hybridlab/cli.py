@@ -37,7 +37,7 @@ def _cmd_forward(args) -> int:
     save_field(report.u, args.out)
     print(
         f"forward: solved {q.grid.nx}x{q.grid.ny} with method={report.method} "
-        f"iterations={report.iterations} residual={report.residual_linf:.3e} "
+        f"residual={report.residual_linf:.3e} "
         f"gap={report.eigen_gap_estimate:.3e} -> {args.out}"
     )
     return 0

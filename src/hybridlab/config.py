@@ -36,8 +36,6 @@ __all__ = [
 
 DEFAULTS = {
     "solver.tol": "1e-9",
-    "solver.max_iter": "0",
-    "solver.gap_threshold": "0",
     "recon.tol": "1e-8",
     "recon.max_iter": "200",
     "recon.tau": "0",

@@ -27,7 +27,7 @@ class NearSingularError(SolverError):
 
 
 class SolverFailure(SolverError):
-    """The iterative solver missed its residual contract for other reasons."""
+    """The forward solve missed its residual contract for other reasons."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

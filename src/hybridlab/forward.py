@@ -9,21 +9,22 @@ The interior equations are the standard second-order stencil
 The assembled matrix is symmetric but generally indefinite: q may park
 the operator on either side of (or close to) an eigenvalue, in which
 case the boundary value problem degrades from well posed to ill posed.
-Solves therefore use a minimum-residual Krylov method, with a direct
-dense factorization below 2500 unknowns, and every solve carries an
-estimate of the spectral gap min |lambda| so that near-singular systems
-are flagged instead of silently amplifying noise.
+Each operator is factored once by sparse LU (SuperLU); that factor
+serves every solve and, as the shift-invert operator, the estimate of
+the spectral gap min |lambda| that every solve carries, so near-singular
+systems are flagged instead of silently amplifying noise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, minres
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ContractViolation, NearSingularError, SolverFailure
 from .fields import Grid, PriorBounds, ScalarField, boundary_field
@@ -32,12 +33,9 @@ __all__ = [
     "DiscreteOperator",
     "SolveReport",
     "EigenGap",
-    "assemble",
     "solve_dirichlet",
     "eigen_gap",
 ]
-
-DENSE_LIMIT = 2500
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class SolveReport:
 
     u: ScalarField
     residual_linf: float
-    iterations: int
     eigen_gap_estimate: float
     method: str
     converged: bool = True
@@ -55,8 +52,6 @@ class SolveReport:
     def __post_init__(self):
         if not np.isfinite(self.residual_linf):
             raise ContractViolation("residual must be finite")
-        if self.iterations < 0:
-            raise ContractViolation("iteration count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,10 @@ class EigenGap:
 class DiscreteOperator:
     """Interior system for laplacian + q with Dirichlet elimination.
 
-    Immutable once assembled; the spectral gap is computed once on first
-    use and cached.  Repeated solves against new load vectors reuse the
-    dense factorization when the system is small enough.
+    Immutable once assembled.  The sparse LU factor and the spectral gap
+    are computed once on first use and cached on the instance; every
+    solve against a new load vector and the gap estimate share that one
+    factor.
     """
 
     def __init__(self, q: ScalarField, bounds: PriorBounds | None = None):
@@ -126,7 +122,6 @@ class DiscreteOperator:
                     stacklevel=3,
                 )
 
-        self._dense_factor = None
         self._gap: EigenGap | None = None
 
     @property
@@ -151,45 +146,28 @@ class DiscreteOperator:
         full[self.interior] = u_int
         return ScalarField(self.grid, full)
 
-    def solve_vec(self, b: np.ndarray, tol: float, max_iter: int = 0,
-                  x0: np.ndarray | None = None):
-        """Solve A x = b; returns (x, iterations, method).
+    @cached_property
+    def _lu(self):
+        """Sparse LU factor of the interior matrix, or None when SuperLU
+        finds it exactly singular."""
+        try:
+            return splu(self.matrix.tocsc())
+        except RuntimeError:
+            return None
 
-        Direct LDL below DENSE_LIMIT unknowns, MINRES above; tol is the
-        relative sup-norm residual target enforced by the caller.
+    def solve_vec(self, b: np.ndarray):
+        """Solve A x = b with the shared LU factor; returns (x, method).
+
+        A singular factor or a non-finite solution hands back the zero
+        iterate, which the caller's residual contract routes to the gap
+        check.
         """
-        bmax = float(np.max(np.abs(b))) if b.size else 0.0
-        if bmax == 0.0:
-            return np.zeros(self.n), 0, "trivial"
-        if self.n <= DENSE_LIMIT:
-            try:
-                if self._dense_factor is None:
-                    self._dense_factor = scipy.linalg.lu_factor(self.matrix.toarray())
-                x = scipy.linalg.lu_solve(self._dense_factor, b)
-            except (scipy.linalg.LinAlgError, ValueError):
-                # singular factorization: hand back the zero iterate and let
-                # the residual contract route this to the gap check
-                return np.zeros(self.n), 0, "direct"
-            if not np.all(np.isfinite(x)):
-                return np.zeros(self.n), 0, "direct"
-            return x, 0, "direct"
-        count = {"it": 0}
-
-        def cb(_):
-            count["it"] += 1
-
-        maxiter = max_iter if max_iter > 0 else 10 * self.n
-        # MINRES stops on a backward-error test relative to ||A||*||y||, so
-        # tighten rtol with warm restarts until the sup-norm contract holds
-        rtol = tol / np.sqrt(self.n)
-        x = x0
-        for _ in range(6):
-            x, _ = minres(self.matrix, b, x0=x, rtol=max(rtol, 1e-15),
-                          maxiter=maxiter, callback=cb)
-            if self.residual_linf(x, b) <= tol * bmax or rtol < 1e-15:
-                break
-            rtol *= 1e-2
-        return x, count["it"], "minres"
+        if not np.any(b):
+            return np.zeros(self.n), "trivial"
+        x = self._lu.solve(b) if self._lu is not None else np.zeros(self.n)
+        if not np.all(np.isfinite(x)):
+            x = np.zeros(self.n)
+        return x, "splu"
 
     def residual_linf(self, x: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(self.matrix @ x - b), initial=0.0))
@@ -201,31 +179,49 @@ class DiscreteOperator:
     def eigen_gap(self) -> EigenGap:
         """min |lambda| over the interior spectrum, cached."""
         if self._gap is None:
-            self._gap = _compute_gap(self.matrix)
+            self._gap = self._compute_gap()
         return self._gap
 
-    def solve(self, g, tol: float = 1e-9, *, source: ScalarField | None = None,
-              max_iter: int = 0, gap_threshold: float = 0.0,
-              x0: np.ndarray | None = None) -> SolveReport:
+    def _compute_gap(self) -> EigenGap:
+        if self.n == 1:
+            return EigenGap(abs(float(self.matrix[0, 0])))
+        if self.n <= 3:
+            lam = scipy.linalg.eigvalsh(self.matrix.toarray())
+            return EigenGap(float(np.min(np.abs(lam))))
+        if self._lu is None:
+            return EigenGap(0.0)
+        opinv = LinearOperator(self.matrix.shape, matvec=self._lu.solve,
+                               dtype=float)
+        try:
+            lam = eigsh(self.matrix, k=1, sigma=0.0, which="LM", OPinv=opinv,
+                        return_eigenvectors=False, tol=1e-9)
+            return EigenGap(abs(float(lam[0])))
+        except ArpackNoConvergence as exc:
+            best = getattr(exc, "eigenvalues", None)
+            if best is not None and len(best):
+                return EigenGap(abs(float(best[0])), converged=False)
+            return EigenGap(float("inf"), converged=False)
+
+    def solve(self, g, tol: float = 1e-9, *,
+              source: ScalarField | None = None) -> SolveReport:
         """Full Dirichlet solve with residual contract and gap check.
 
         Success means ||A u_int - b||_inf <= tol * ||b||_inf.  A solve
         that misses the contract raises NearSingular when the spectral
-        gap falls below the threshold (default scale-relative), and a
+        gap falls below the scale-relative gap_threshold(), and a
         generic solver failure otherwise; both carry the partial report.
         """
         if tol <= 0:
             raise ContractViolation(f"tol must be positive, got {tol}")
         b = self.load_vector(g, source)
-        x, iters, method = self.solve_vec(b, tol, max_iter, x0=x0)
+        x, method = self.solve_vec(b)
         res = self.residual_linf(x, b)
         gap = self.eigen_gap()
-        threshold = gap_threshold if gap_threshold > 0 else self.gap_threshold()
+        threshold = self.gap_threshold()
         ok = res <= tol * float(np.max(np.abs(b), initial=0.0))
         report = SolveReport(
             u=self.expand(x, g),
             residual_linf=res,
-            iterations=iters,
             eigen_gap_estimate=gap.value,
             method=method,
             converged=ok,
@@ -239,51 +235,19 @@ class DiscreteOperator:
                     report=report,
                 )
             raise SolverFailure(
-                f"residual {res:.3e} misses contract after {iters} iterations",
+                f"residual {res:.3e} misses contract with method {method}",
                 report=report,
             )
         return report
 
 
-def _compute_gap(matrix: sp.csr_array) -> EigenGap:
-    n = matrix.shape[0]
-    if n == 1:
-        return EigenGap(abs(float(matrix[0, 0])))
-    if n <= 3:
-        lam = scipy.linalg.eigvalsh(matrix.toarray())
-        return EigenGap(float(np.min(np.abs(lam))))
-    try:
-        lam = eigsh(matrix.tocsc(), k=1, sigma=0.0, which="LM",
-                    return_eigenvectors=False, tol=1e-9)
-        return EigenGap(abs(float(lam[0])))
-    except ArpackNoConvergence as exc:
-        best = getattr(exc, "eigenvalues", None)
-        if best is not None and len(best):
-            return EigenGap(abs(float(best[0])), converged=False)
-        return EigenGap(float("inf"), converged=False)
-    except RuntimeError:
-        # shift-invert factorization hit an exactly singular matrix
-        return EigenGap(0.0)
-
-
-def assemble(q: ScalarField, g=None, bounds: PriorBounds | None = None):
-    """Build the interior operator; with g also return its load vector."""
-    op = DiscreteOperator(q, bounds=bounds)
-    if g is None:
-        return op
-    return op, op.load_vector(g)
-
-
 def solve_dirichlet(q: ScalarField, g, tol: float = 1e-9, *,
                     bounds: PriorBounds | None = None,
-                    source: ScalarField | None = None,
-                    max_iter: int = 0,
-                    gap_threshold: float = 0.0) -> SolveReport:
+                    source: ScalarField | None = None) -> SolveReport:
     """Assemble and solve laplacian(u) + q u = source with u = g on the
     boundary; see DiscreteOperator.solve for the residual contract."""
     op = DiscreteOperator(q, bounds=bounds)
-    return op.solve(g, tol, source=source, max_iter=max_iter,
-                    gap_threshold=gap_threshold)
+    return op.solve(g, tol, source=source)
 
 
 def eigen_gap(q: ScalarField | DiscreteOperator) -> EigenGap:

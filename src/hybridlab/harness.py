@@ -515,7 +515,7 @@ def _scatter_svg(report: StabilityReport) -> str:
             for xe in (x0, x1):
                 ye = (math.log10(f.c_hat) + f.eta_hat * xe
                       if f.c_hat > 0 else 0.0)
-                y0, y1 = min(y0, ye), max(y0, ye)
+                y0, y1 = min(y0, ye), max(y1, ye)
     else:
         x0, x1, y0, y1 = 0.0, 1.0, 0.0, 1.0
     if x1 - x0 < 1e-12:

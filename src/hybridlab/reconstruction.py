@@ -117,7 +117,6 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
     rep = op.solve(gvec, solver_tol)
     u = rep.u.values
     positive = fvals > 0.0
-    x_prev = u[op.interior]
     sign_change = False
     floor_hits = 0
     update = float("inf")
@@ -126,14 +125,13 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
         clamped = _clamp(u, tau)
         floor_hits = int(np.count_nonzero(np.abs(u) < tau))
         source = ScalarField(grid, -fvals / clamped)
-        rep = op.solve(gvec, solver_tol, source=source, x0=x_prev)
+        rep = op.solve(gvec, solver_tol, source=source)
         u_next = rep.u.values
         iterations += 1
         if np.any(positive & (u * u_next < 0.0)):
             sign_change = True
         update = float(np.max(np.abs(u_next - u)))
         u = u_next
-        x_prev = u[op.interior]
         if update < tol:
             break
     return ReconstructionResult(

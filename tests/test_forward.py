@@ -4,11 +4,11 @@ spectrum closed forms, near-singular detection."""
 import numpy as np
 import pytest
 
+import hybridlab.forward
 from hybridlab import Grid, NearSingularError, PriorBounds, ScalarField
 from hybridlab.fields import boundary_values
 from hybridlab.forward import (
     DiscreteOperator,
-    assemble,
     eigen_gap,
     solve_dirichlet,
 )
@@ -37,7 +37,8 @@ def test_dense_assembly_oracle_5x5():
     grid = Grid(nx=5, ny=5, lx=1.0, ly=1.0)
     q = ScalarField.constant(grid, 2.0)
     gvec = boundary_values(grid, coscos)
-    op, b = assemble(q, gvec)
+    op = DiscreteOperator(q)
+    b = op.load_vector(gvec)
 
     # independent dense assembly: loop over interior nodes in row-major order
     h = grid.h
@@ -144,14 +145,32 @@ def test_manufactured_1d_sine():
     assert 1.8 <= np.log2(errs[0] / errs[1]) <= 2.2
 
 
-def test_iterative_path_used_and_contract_holds():
-    grid = Grid(nx=61, ny=61, lx=1.0, ly=1.0)  # 3481 unknowns: beyond dense
+def test_splu_path_used_and_contract_holds():
+    grid = Grid(nx=61, ny=61, lx=1.0, ly=1.0)  # 3481 unknowns
     q = ScalarField.constant(grid, 2.0)
-    op, b = assemble(q, coscos)
+    op = DiscreteOperator(q)
+    b = op.load_vector(coscos)
     rep = op.solve(coscos, tol=1e-9)
-    assert rep.method == "minres"
-    assert rep.iterations > 0
+    assert rep.method == "splu"
     assert rep.residual_linf <= 1e-9 * np.max(np.abs(b))
+
+
+def test_one_factorization_per_operator(monkeypatch):
+    calls = []
+    real_splu = hybridlab.forward.splu
+
+    def counting_splu(matrix):
+        calls.append(matrix.shape)
+        return real_splu(matrix)
+
+    monkeypatch.setattr(hybridlab.forward, "splu", counting_splu)
+    grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
+    op = DiscreteOperator(ScalarField.constant(grid, 2.0))
+    for g in (coscos, 1.0, coscos):
+        assert op.solve(g).method == "splu"
+    assert op.eigen_gap().converged
+    assert op.solve(0.5, source=ScalarField.constant(grid, 1.0)).converged
+    assert calls == [(op.n, op.n)]
 
 
 def test_solve_rejects_bad_tol():
@@ -202,6 +221,16 @@ def test_near_singular_raises_with_partial_report():
     assert rep is not None
     assert not rep.converged
     assert rep.degenerate
+
+
+def test_exactly_singular_operator_routes_to_gap_check():
+    # h = 1, q = 2: zero diagonal, unit off-diagonals; odd size is singular
+    grid = Grid(nx=7, lx=6.0)
+    op = DiscreteOperator(ScalarField.constant(grid, 2.0))
+    with pytest.raises(NearSingularError) as exc:
+        op.solve(np.array([1.0, 0.0]))
+    assert exc.value.report.degenerate
+    assert exc.value.report.eigen_gap_estimate == 0.0
 
 
 def test_continuum_eigenvalue_zero_data_flags_degenerate():

@@ -16,6 +16,7 @@ from hybridlab.harness import (
     HolderFit,
     StabilityReport,
     SweepConfig,
+    SweepSample,
     emit_report,
     fit_holder,
     run_sweep,
@@ -319,6 +320,33 @@ def test_emit_report_empty_sample_list(tmp_path):
     svg = files["scatter"].read_text()
     assert "<circle" not in svg and "<polyline" not in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_scatter_keeps_samples_above_the_fit_line_inside_the_plot(tmp_path):
+    # the fit line (c_hat 1e-3, eta 1) runs far below both samples, so
+    # the y-range must come from the sample maximum, not the line
+    samples = tuple(
+        SweepSample(amplitude=a, seed=0, epsilon=eps, bdry_gap=0.0,
+                    err_l1_interior=err, err_true={0.125: err},
+                    err_recon={}, flags={})
+        for a, eps, err in ((0.1, 1e-4, 1e-2), (1.0, 1e-2, 1.0))
+    )
+    fit = HolderFit(c_hat=1e-3, eta_hat=1.0, residual_rms=0.0,
+                    eta_ci=(1.0, 1.0), n_used=2, n_excluded=0)
+    rep = StabilityReport(
+        samples=samples, fit=fit, fits={"true": fit, "recon": None},
+        fit_flags={"true": "ok", "recon": "skipped"}, eta_in_range=True,
+        diagnostics=None, config_echo={}, d_list=(0.125,),
+    )
+    svg = emit_report(rep, tmp_path / "scatter")["scatter"].read_text()
+    x, y, w, h = (float(v) for v in re.search(
+        r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)"',
+        svg).groups())
+    circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)
+    assert len(circles) == 2
+    for cx, cy in circles:
+        assert x <= float(cx) <= x + w
+        assert y <= float(cy) <= y + h
 
 
 def test_emit_report_byte_deterministic(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hybridlab import ContractViolation, Grid, PriorBounds, ScalarField
+from hybridlab.config import g_from_spec
 from hybridlab.forward import solve_dirichlet
 from hybridlab.reconstruction import (
     reconstruct,
@@ -71,6 +72,20 @@ def test_fixed_point_consistency_with_forward_solve():
     f = internal_data(q, fwd.u)
     res = reconstruct_u(f, coscos, tol=1e-10)
     assert np.max(np.abs(res.u_hat.values - fwd.u.values)) <= 1e-7
+
+
+def test_1d_large_grid_converges_to_true_coefficient():
+    # 2,599 tridiagonal unknowns with a condition number near 3e6: each
+    # fixed-point solve must land on the fixed point itself, not on any
+    # iterate that merely meets the residual contract
+    grid = Grid(nx=2601)
+    q = ScalarField.constant(grid, 2.0)
+    g = g_from_spec(grid, "coscos")
+    f = internal_data(q, solve_dirichlet(q, g).u)
+    res = reconstruct(f, g, PriorBounds(k_bound=4.0, e_bound=50.0,
+                                        h_bound=0.05, d_margin=0.125))
+    assert res.converged
+    assert reconstruction_error(res.q_hat, q, 0.125).l1 <= 1e-6
 
 
 def test_preconditions_rejected():
