@@ -48,7 +48,8 @@ def main():
     print(f"worst sample/envelope ratio with 3-sigma slack: {worst:.3f}")
 
     recon = report.fits["recon"]
-    print(f"blind-reconstruction error fit: eta={recon.eta_hat:.3f} "
+    print(f"blind-reconstruction error fit [{report.fit_flags['recon']}]: "
+          f"eta={recon.eta_hat:.3f} "
           "(flat: the solver reproduces the perturbed coefficient to "
           "solver precision regardless of epsilon)")
 

@@ -19,7 +19,6 @@ from .errors import (
     UnderdeterminedFit,
 )
 from .fields import (
-    DomainSpec,
     Grid,
     Norms,
     PriorBounds,
@@ -50,7 +49,6 @@ __all__ = [
     "SolverError",
     "SolverFailure",
     "UnderdeterminedFit",
-    "DomainSpec",
     "Grid",
     "Norms",
     "PriorBounds",

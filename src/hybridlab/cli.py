@@ -13,7 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import field_from_spec, g_from_spec, parse_config
+from .config import g_from_spec, parse_config
 from .counterexample import pathology_table, write_pathology_csv
 from .diagnostics import (
     collect_diagnostics,
@@ -23,9 +23,9 @@ from .diagnostics import (
 from .errors import ContractViolation, SolverError
 from .fields import PriorBounds, load_field, save_field
 from .forward import solve_dirichlet
-from .harness import SweepConfig, emit_report, run_sweep
+from .harness import SweepConfig, emit_report, run_sweep, sweep_pairs
 from .reconstruction import reconstruct, save_result_manifest
-from .synthesis import make_pair, load_pair, perturb_coefficient, save_pair
+from .synthesis import load_pair, save_pair
 
 __all__ = ["main"]
 
@@ -52,23 +52,19 @@ def _cmd_synth(args) -> int:
         raise ContractViolation(
             "synth needs an output directory: set sweep.out or pass --out"
         )
-    q1 = field_from_spec(cfg.grid, cfg.q_spec)
-    g = g_from_spec(cfg.grid, cfg.g_spec)
-    written = []
-    for amplitude in cfg.amplitudes:
-        for s in range(cfg.seeds):
-            seed = cfg.seed0 + s
-            result = perturb_coefficient(
-                q1, cfg.mode, amplitude, seed, bounds=cfg.bounds
-            )
-            pair = make_pair(
-                q1, result.field, g, cfg.bounds,
-                seed=seed, mode=cfg.mode, amplitude=amplitude,
-                tol=cfg.solver_tol, jitter=cfg.jitter,
-            )
-            tag = f"pair_a{format(amplitude, 'g')}_s{seed}"
-            written.append(save_pair(pair, out / tag))
-    print(f"synth: wrote {len(written)} pairs under {out}")
+    tags = [format(a, "g") for a in cfg.amplitudes]
+    if len(set(tags)) < len(tags):
+        raise ContractViolation(
+            f"amplitudes {list(cfg.amplitudes)} give pair directory tags "
+            f"{tags}, which collide; synth would overwrite pairs"
+        )
+    written = 0
+    for amplitude, seed, pair in sweep_pairs(cfg):
+        if isinstance(pair, Exception):
+            raise pair
+        save_pair(pair, out / f"pair_a{format(amplitude, 'g')}_s{seed}")
+        written += 1
+    print(f"synth: wrote {written} pairs under {out}")
     return 0
 
 

@@ -22,13 +22,13 @@ sup norms and finite-difference residual checks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation
+from .fields import write_csv
 
 __all__ = [
     "OscillatoryFamily",
@@ -186,19 +186,11 @@ def residual_check(fam: OscillatoryFamily, h: float) -> float:
 def write_pathology_csv(rows: list[PathologyRow], path) -> Path:
     """Columns: m, A_m, data_gap, coef_gap_p1, coef_gap_pinf, H_integral,
     K_required."""
-    path = Path(path)
-
-    def fmt(v) -> str:
-        return format(float(v), ".17g")
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "A_m", "data_gap", "coef_gap_p1",
-                         "coef_gap_pinf", "H_integral", "K_required"])
-        for row in rows:
-            writer.writerow([
-                row.m, fmt(row.a_m), fmt(row.data_gap),
-                fmt(row.coef_gaps[1.0]), fmt(row.coef_gaps[np.inf]),
-                fmt(row.h_integral), fmt(row.k_required),
-            ])
-    return path
+    return write_csv(
+        path,
+        ["m", "A_m", "data_gap", "coef_gap_p1", "coef_gap_pinf",
+         "H_integral", "K_required"],
+        [[row.m, row.a_m, row.data_gap, row.coef_gaps[1.0],
+          row.coef_gaps[np.inf], row.h_integral, row.k_required]
+         for row in rows],
+    )

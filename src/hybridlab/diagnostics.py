@@ -21,8 +21,6 @@ divergence is diagnosed through refinement trends.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +35,8 @@ from .fields import (
     interior_mask,
     mask_measure,
     norms,
+    write_csv,
+    write_json,
 )
 from .synthesis import ExperimentPair
 
@@ -280,6 +280,16 @@ class DiagnosticsReport:
             return 0.0
         return self.weighted.lhs / self.weighted.proof_bound
 
+    def summary(self) -> dict:
+        """The digest reports carry: max_doubling, min_propagation,
+        best_delta, proof_bound_margin."""
+        return {
+            "max_doubling": self.max_doubling,
+            "min_propagation": self.min_propagation,
+            "best_delta": self.best_delta,
+            "proof_bound_margin": self.proof_bound_margin,
+        }
+
 
 def _check_value(v: float) -> None:
     if not np.isfinite(v) or v < 0.0:
@@ -360,24 +370,18 @@ def collect_diagnostics(pair: ExperimentPair, *, r_ball: float = 0.0,
     )
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 def write_diagnostics_csv(report: DiagnosticsReport, path) -> Path:
     """One row per measured functional:
     functional, center_x, center_y, r, param, value, floor_hits."""
-    path = Path(path)
     rows = []
     for (cx, cy), r, v in report.doubling:
-        rows.append(("doubling", _fmt(cx), _fmt(cy), _fmt(r), "", _fmt(v), 0))
+        rows.append(("doubling", cx, cy, r, "", v, 0))
     for (cx, cy), r, v in report.propagation:
-        rows.append(("propagation", _fmt(cx), _fmt(cy), _fmt(r), "", _fmt(v), 0))
+        rows.append(("propagation", cx, cy, r, "", v, 0))
     for (cx, cy), r, p, v, hits in report.ap:
-        rows.append(("muckenhoupt", _fmt(cx), _fmt(cy), _fmt(r), _fmt(p),
-                     _fmt(v), hits))
+        rows.append(("muckenhoupt", cx, cy, r, p, v, hits))
     for d, delta, v, hits in report.neg_integral:
-        rows.append(("neg_integral", "", "", _fmt(d), _fmt(delta), _fmt(v), hits))
+        rows.append(("neg_integral", "", "", d, delta, v, hits))
     if report.weighted is not None:
         w = report.weighted
         for name, v in (("weighted_lhs", w.lhs),
@@ -385,28 +389,14 @@ def write_diagnostics_csv(report: DiagnosticsReport, path) -> Path:
                         ("weighted_l3", w.l3_lhs),
                         ("weightq_lhs", w.weightq_lhs),
                         ("weightq_bound_input", w.weightq_bound_input)):
-            rows.append((name, "", "", "", "", _fmt(v), 0))
+            rows.append((name, "", "", "", "", v, 0))
     for t, v, count in report.level_sets:
-        rows.append(("level_set", "", "", "", _fmt(t), _fmt(v), count))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["functional", "center_x", "center_y", "r",
-                         "param", "value", "floor_hits"])
-        writer.writerows(rows)
-    return path
+        rows.append(("level_set", "", "", "", t, v, count))
+    return write_csv(path, ["functional", "center_x", "center_y", "r",
+                            "param", "value", "floor_hits"], rows)
 
 
 def write_diagnostics_summary(report: DiagnosticsReport, path) -> Path:
     """JSON digest {max_doubling, min_propagation, best_delta,
     proof_bound_margin}."""
-    path = Path(path)
-    payload = {
-        "max_doubling": report.max_doubling,
-        "min_propagation": report.min_propagation,
-        "best_delta": report.best_delta,
-        "proof_bound_margin": report.proof_bound_margin,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, report.summary())

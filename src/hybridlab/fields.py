@@ -1,4 +1,5 @@
-"""Grids, scalar fields, subdomain masks, quadrature and norms.
+"""Grids, scalar fields, subdomain masks, quadrature and norms, and the
+file writers every field and report goes through.
 
 The computational domain is an axis-aligned rectangle [0, lx] x [0, ly]
 (an interval [0, lx] in 1D) discretized by a uniform tensor grid.  All
@@ -15,8 +16,12 @@ pure, so shared read-only fields may be evaluated concurrently.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +29,6 @@ from .errors import ContractViolation
 
 __all__ = [
     "Grid",
-    "DomainSpec",
     "ScalarField",
     "PriorBounds",
     "Norms",
@@ -39,6 +43,9 @@ __all__ = [
     "boundary_values",
     "boundary_field",
     "energy",
+    "write_text",
+    "write_json",
+    "write_csv",
     "save_field",
     "load_field",
 ]
@@ -116,38 +123,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class DomainSpec:
-    """Geometry record: rectangle sides plus its Lipschitz-class constants.
-
-    Only axis-aligned rectangles (intervals in 1D) are supported; the
-    chart constants (rho, m_lip) are stored as user-provided analytic
-    data and validated for plausibility, never used to build charts.
-    """
-
-    lx: float
-    ly: float = 0.0
-    rho: float = 0.25
-    m_lip: float = 1.0
-
-    def __post_init__(self):
-        if self.lx <= 0 or self.ly < 0:
-            raise ContractViolation("rectangle sides must be positive (ly = 0 in 1D)")
-        if self.measure <= 0:
-            raise ContractViolation("domain measure must be positive")
-        if self.m_lip < 1:
-            raise ContractViolation(f"m_lip must be >= 1, got {self.m_lip}")
-        shortest = self.lx if self.ly == 0 else min(self.lx, self.ly)
-        if not 0 < self.rho <= shortest / 2:
-            raise ContractViolation(
-                f"rho must lie in (0, {shortest / 2}], got {self.rho}"
-            )
-
-    @property
-    def measure(self) -> float:
-        return self.lx if self.ly == 0 else self.lx * self.ly
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """Nodal values of a scalar quantity on a Grid, row-major, all finite."""
 
@@ -177,9 +152,6 @@ class ScalarField:
             return cls(grid, np.asarray(fn(grid.xs()), dtype=float)[None, :])
         X, Y = grid.meshgrid()
         return cls(grid, np.asarray(fn(X, Y), dtype=float))
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -394,19 +366,52 @@ def energy(u: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# field file format: line 1 "FIELD v1 nx ny lx ly", then nx*ny values
-# row-major, one per line, 17 significant digits (exact float64 round trip).
+# report and field-file I/O: every file the package writes goes through
+# write_text, so an OSError always names the path.  Floats are written with
+# 17 significant digits (exact float64 round trip).
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def write_text(path, text: str) -> Path:
+    """Write text unchanged (no newline translation); returns the path."""
+    path = Path(path)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
+    return path
+
+
+def write_json(path, payload) -> Path:
+    """Indented, key-sorted JSON with a trailing newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    return write_text(path, text + "\n")
+
+
+def write_csv(path, header, rows) -> Path:
+    """Header plus rows, "\n" line ends; float cells print with 17
+    significant digits, every other cell with str()."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]
+        for row in rows
+    )
+    return write_text(path, buf.getvalue())
+
+
+# field file format: line 1 "FIELD v1 nx ny lx ly", then nx*ny values
+# row-major, one per line.
+
 def save_field(f: ScalarField, path) -> None:
     g = f.grid
     lines = [f"FIELD v1 {g.nx} {g.ny} {_fmt(g.lx)} {_fmt(g.ly)}"]
     lines.extend(_fmt(v) for v in f.values.ravel())
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_field(path) -> ScalarField:

@@ -6,7 +6,9 @@ synthesizes a pair, measures the data discrepancy epsilon a posteriori,
 records the true coefficient error on every requested interior margin,
 and runs the blind reconstruction from (F2, g) so reconstruction error
 can be compared against the theorem-side error.  Individual cell
-failures are recorded as flagged samples; the sweep never aborts.
+failures are recorded as flagged samples; the sweep never aborts.  The
+cells come from sweep_pairs, the one cell loop, which `hybridlab synth`
+also draws from.
 
 The summary fit is least squares of log(err) against log(sqrt(eps)+eps)
 over hypothesis-satisfying converged samples.  The fitted power law is a
@@ -17,8 +19,6 @@ tests assert.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +40,16 @@ from .diagnostics import (
     write_diagnostics_csv,
 )
 from .errors import ContractViolation, SolverError, UnderdeterminedFit
-from .fields import Grid, PriorBounds, ScalarField, interior_mask, norms
+from .fields import (
+    Grid,
+    PriorBounds,
+    ScalarField,
+    interior_mask,
+    norms,
+    write_csv,
+    write_json,
+    write_text,
+)
 from .reconstruction import reconstruct
 from .synthesis import make_pair, perturb_coefficient
 
@@ -50,6 +59,7 @@ __all__ = [
     "HolderFit",
     "StabilityReport",
     "fit_holder",
+    "sweep_pairs",
     "run_sweep",
     "emit_report",
 ]
@@ -162,10 +172,6 @@ class HolderFit:
     n_excluded: int
     underdetermined: bool = False
 
-    def __iter__(self):
-        # allows (c_hat, eta_hat, residual) unpacking
-        return iter((self.c_hat, self.eta_hat, self.residual_rms))
-
     def envelope(self, epsilon, slack_sigmas: float = 3.0):
         """Fitted curve value scaled by exp(slack_sigmas * residual_rms)."""
         eps = np.asarray(epsilon, dtype=float)
@@ -258,15 +264,47 @@ class StabilityReport:
     d_list: tuple
 
 
-def _fit_or_flag(points):
-    """(fit, flag) where flag is 'ok', 'underdetermined', or 'skipped'."""
+def _fit_or_flag(points, tol: float = 0.0):
+    """(fit, flag) where flag is 'ok', 'underdetermined', or 'skipped',
+    and 'below_tol' for a fit whose every error is under tol: such a fit
+    measures solver noise, not a stability law."""
     try:
-        return fit_holder(points), "ok"
+        fit, flag = fit_holder(points), "ok"
     except UnderdeterminedFit:
         try:
-            return _two_point_fit(points), "underdetermined"
+            fit, flag = _two_point_fit(points), "underdetermined"
         except UnderdeterminedFit:
             return None, "skipped"
+    if all(err < tol for _, err in points):
+        flag = "below_tol"
+    return fit, flag
+
+
+def sweep_pairs(config: SweepConfig):
+    """Synthesize every (amplitude, seed) cell in sweep order.
+
+    Yields (amplitude, seed, pair); a cell whose pair synthesis raises
+    SolverError or ContractViolation yields that exception in place of
+    the pair, so the caller decides whether a failed cell is recorded or
+    fatal.
+    """
+    q1 = field_from_spec(config.grid, config.q_spec)
+    g = g_from_spec(config.grid, config.g_spec)
+    for amplitude in config.amplitudes:
+        for s in range(config.seeds):
+            seed = config.seed0 + s
+            result = perturb_coefficient(
+                q1, config.mode, amplitude, seed, bounds=config.bounds
+            )
+            try:
+                pair = make_pair(
+                    q1, result.field, g, config.bounds,
+                    seed=seed, mode=config.mode, amplitude=amplitude,
+                    tol=config.solver_tol, jitter=config.jitter,
+                )
+            except (SolverError, ContractViolation) as exc:
+                pair = exc
+            yield amplitude, seed, pair
 
 
 def run_sweep(config: SweepConfig) -> StabilityReport:
@@ -282,76 +320,61 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     within recon_tol (absolute).  See "Reproducibility" in the README.
     """
     grid = config.grid
-    q1 = field_from_spec(grid, config.q_spec)
     g = g_from_spec(grid, config.g_spec)
-    bounds = config.bounds
 
     samples = []
     diag_pair = None
     diag_key = None
-    for amplitude in config.amplitudes:
-        for s in range(config.seeds):
-            seed = config.seed0 + s
-            result = perturb_coefficient(
-                q1, config.mode, amplitude, seed, bounds=bounds
-            )
-            try:
-                pair = make_pair(
-                    q1, result.field, g, bounds,
-                    seed=seed, mode=config.mode, amplitude=amplitude,
-                    tol=config.solver_tol, jitter=config.jitter,
-                )
-            except (SolverError, ContractViolation) as exc:
-                samples.append(SweepSample(
-                    amplitude=float(amplitude), seed=int(seed),
-                    epsilon=float("nan"), bdry_gap=float("nan"),
-                    err_l1_interior=float("nan"),
-                    err_true={}, err_recon={},
-                    flags={"failed": True, "failure": type(exc).__name__},
-                ))
-                continue
+    for amplitude, seed, pair in sweep_pairs(config):
+        if isinstance(pair, Exception):
+            samples.append(SweepSample(
+                amplitude=float(amplitude), seed=int(seed),
+                epsilon=float("nan"), bdry_gap=float("nan"),
+                err_l1_interior=float("nan"),
+                err_true={}, err_recon={},
+                flags={"failed": True, "failure": type(pair).__name__},
+            ))
+            continue
 
-            diff = ScalarField(grid, pair.q1.values - pair.q2.values)
-            err_true = {
-                d: norms(diff, interior_mask(grid, d)).l1
+        diff = ScalarField(grid, pair.q1.values - pair.q2.values)
+        err_true = {
+            d: norms(diff, interior_mask(grid, d)).l1
+            for d in config.d_list
+        }
+
+        err_recon = {}
+        flags = dict(pair.flags)
+        flags["failed"] = False
+        try:
+            recon = reconstruct(
+                pair.f2, g, config.bounds,
+                tol=config.recon_tol, max_iter=config.recon_max_iter,
+                tau=config.recon_tau, solver_tol=config.solver_tol,
+            )
+            rdiff = ScalarField(grid, recon.q_hat.values - pair.q2.values)
+            err_recon = {
+                d: norms(rdiff, interior_mask(grid, d)).l1
                 for d in config.d_list
             }
+            flags["recon_converged"] = bool(recon.converged)
+        except (SolverError, ContractViolation) as exc:
+            flags["recon_converged"] = False
+            flags["recon_failure"] = type(exc).__name__
 
-            err_recon = {}
-            flags = dict(pair.flags)
-            flags["failed"] = False
-            try:
-                recon = reconstruct(
-                    pair.f2, g, bounds,
-                    tol=config.recon_tol, max_iter=config.recon_max_iter,
-                    tau=config.recon_tau, solver_tol=config.solver_tol,
-                )
-                rdiff = ScalarField(
-                    grid, recon.q_hat.values - pair.q2.values
-                )
-                err_recon = {
-                    d: norms(rdiff, interior_mask(grid, d)).l1
-                    for d in config.d_list
-                }
-                flags["recon_converged"] = bool(recon.converged)
-            except (SolverError, ContractViolation) as exc:
-                flags["recon_converged"] = False
-                flags["recon_failure"] = type(exc).__name__
+        sample = SweepSample(
+            amplitude=float(amplitude), seed=int(seed),
+            epsilon=pair.epsilon, bdry_gap=pair.bdry_gap,
+            err_l1_interior=err_true[config.d_list[0]],
+            err_true=err_true, err_recon=err_recon,
+            flags=flags,
+        )
+        samples.append(sample)
 
-            sample = SweepSample(
-                amplitude=float(amplitude), seed=int(seed),
-                epsilon=pair.epsilon, bdry_gap=pair.bdry_gap,
-                err_l1_interior=err_true[config.d_list[0]],
-                err_true=err_true, err_recon=err_recon,
-                flags=flags,
-            )
-            samples.append(sample)
-
-            if sample.usable:
-                key = (amplitude, -seed)
-                if diag_key is None or key > diag_key:
-                    diag_key = key
-                    diag_pair = pair
+        if sample.usable:
+            key = (amplitude, -seed)
+            if diag_key is None or key > diag_key:
+                diag_key = key
+                diag_pair = pair
 
     d0 = config.d_list[0]
     true_points = [(s.epsilon, s.err_true[d0]) for s in samples if s.usable]
@@ -361,7 +384,7 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
         if s.usable and s.flags.get("recon_converged", False) and s.err_recon
     ]
     true_fit, true_flag = _fit_or_flag(true_points)
-    recon_fit, recon_flag = _fit_or_flag(recon_points)
+    recon_fit, recon_flag = _fit_or_flag(recon_points, config.recon_tol)
 
     eta_in_range = (
         true_fit is not None and 0.0 < true_fit.eta_hat <= 1.2
@@ -381,11 +404,6 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     )
 
 
-def _fmt(v) -> str:
-    v = float(v)
-    return format(v, ".17g")
-
-
 def _d_tag(d: float) -> str:
     return format(float(d), "g")
 
@@ -402,13 +420,6 @@ def _fit_payload(fit: HolderFit | None):
         "n_excluded": fit.n_excluded,
         "underdetermined": fit.underdetermined,
     }
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
 
 
 def emit_report(report: StabilityReport, out_dir) -> dict:
@@ -434,33 +445,20 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
     )
     rows = []
     for s in sorted(report.samples, key=lambda s: (s.amplitude, s.seed)):
-        row = [_fmt(s.amplitude), str(s.seed), _fmt(s.epsilon),
-               _fmt(s.bdry_gap)]
-        row += [_fmt(s.err_true.get(d, float("nan"))) for d in ds]
-        row += [_fmt(s.err_recon.get(d, float("nan"))) for d in ds]
-        row += [str(int(bool(s.flags.get(c, False)))) for c in flag_cols]
+        row = [s.amplitude, s.seed, s.epsilon, s.bdry_gap]
+        row += [s.err_true.get(d, float("nan")) for d in ds]
+        row += [s.err_recon.get(d, float("nan")) for d in ds]
+        row += [int(bool(s.flags.get(c, False))) for c in flag_cols]
         rows.append(row)
-    samples_path = out / "samples.csv"
-    try:
-        with open(samples_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise OSError(f"writing {samples_path}: {exc}") from exc
+    samples_path = write_csv(out / "samples.csv", header, rows)
 
     diag = report.diagnostics or DiagnosticsReport()
-    diag_path = out / "diagnostics.csv"
-    write_diagnostics_csv(diag, diag_path)
+    diag_path = write_diagnostics_csv(diag, out / "diagnostics.csv")
 
-    summary = None
-    if report.diagnostics is not None:
-        summary = {
-            "max_doubling": report.diagnostics.max_doubling,
-            "min_propagation": report.diagnostics.min_propagation,
-            "best_delta": report.diagnostics.best_delta,
-            "proof_bound_margin": report.diagnostics.proof_bound_margin,
-        }
+    summary = (
+        report.diagnostics.summary() if report.diagnostics is not None
+        else None
+    )
     fit_payload = {
         "fit": _fit_payload(report.fit),
         "fits": {k: _fit_payload(v) for k, v in sorted(report.fits.items())},
@@ -471,11 +469,8 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
         "diagnostics_summary": summary,
         "config": dict(sorted(report.config_echo.items())),
     }
-    fit_path = out / "fit.json"
-    _write_text(fit_path, json.dumps(fit_payload, indent=2, sort_keys=True) + "\n")
-
-    svg_path = out / "scatter.svg"
-    _write_text(svg_path, _scatter_svg(report))
+    fit_path = write_json(out / "fit.json", fit_payload)
+    svg_path = write_text(out / "scatter.svg", _scatter_svg(report))
 
     return {
         "samples": samples_path,

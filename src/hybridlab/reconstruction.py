@@ -20,8 +20,7 @@ hidden.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .fields import (
     interior_mask,
     norms,
     Norms,
+    write_json,
 )
 from .forward import DiscreteOperator
 
@@ -180,30 +180,15 @@ def reconstruct(f: ScalarField, g, bounds: PriorBounds, *,
     res = reconstruct_u(f, g, tol=tol, max_iter=max_iter, tau=tau,
                         solver_tol=solver_tol)
     q_hat, mask = recover_q(f, res.u_hat, bounds, tau)
-    return ReconstructionResult(
-        u_hat=res.u_hat,
-        q_hat=q_hat,
-        iterations=res.iterations,
-        final_update_linf=res.final_update_linf,
-        floor_hits=res.floor_hits,
-        converged=res.converged,
-        tol=res.tol,
-        sign_change=res.sign_change,
-        clamp_mask=mask,
-    )
+    return replace(res, q_hat=q_hat, clamp_mask=mask)
 
 
 def save_result_manifest(result: ReconstructionResult, path) -> Path:
     """Write the run record {iterations, final_update_linf, floor_hits,
     converged} as JSON."""
-    path = Path(path)
-    payload = {
+    return write_json(path, {
         "iterations": result.iterations,
         "final_update_linf": result.final_update_linf,
         "floor_hits": result.floor_hits,
         "converged": result.converged,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })

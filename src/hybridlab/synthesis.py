@@ -39,6 +39,7 @@ from .fields import (
     integrate,
     load_field,
     save_field,
+    write_json,
 )
 from .forward import DiscreteOperator, SolveReport
 
@@ -270,11 +271,7 @@ def save_pair(pair: ExperimentPair, directory) -> Path:
         "d": pair.bounds.d_margin,
         "flags": pair.flags,
     }
-    path = directory / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(directory / "manifest.json", manifest)
 
 
 def load_pair(path) -> ExperimentPair:

@@ -6,7 +6,9 @@ import pytest
 
 from hybridlab import Grid, PriorBounds, ScalarField, load_field, save_field
 from hybridlab.cli import main
+from hybridlab.config import parse_config
 from hybridlab.forward import solve_dirichlet
+from hybridlab.harness import SweepConfig, run_sweep
 from hybridlab.synthesis import internal_data
 
 SWEEP_CFG = """
@@ -103,6 +105,50 @@ def test_synth_then_diagnose(tmp_path, capsys):
                             "proof_bound_margin"}
 
 
+def test_synth_manifests_match_sweep_samples(tmp_path, capsys):
+    # synth and run_sweep share one cell loop: same config, same pairs
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "pairs"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    report = run_sweep(SweepConfig.from_config(parse_config(cfg)))
+    assert len(report.samples) == 2
+    for s in report.samples:
+        tag = f"pair_a{format(s.amplitude, 'g')}_s{s.seed}"
+        m = json.loads((out / tag / "manifest.json").read_text())
+        assert m["epsilon"] == s.epsilon
+        assert m["bdry_gap"] == s.bdry_gap
+        assert set(m["flags"]) == {"k_ok", "e_ok", "h_ok", "hypothesis_ok"}
+        assert m["flags"] == {k: s.flags[k] for k in m["flags"]}
+
+
+def test_synth_colliding_amplitude_tags_is_contract_error(tmp_path, capsys):
+    # both amplitudes print as 0.1 under format(a, "g")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("0.02,0.1", "0.1000001,0.1000002"))
+    out = tmp_path / "pairs"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "collide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_near_singular_cell_is_solver_failure(tmp_path, capsys):
+    # the cell that run_sweep records as failed stops synth with exit 3
+    h = 1.0 / 32
+    mu = (4.0 / h**2) * (1.0 - math.cos(math.pi * h))
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(
+        f"sweep.nx = 33\nsweep.q = const:{mu!r}\nsweep.g = const:1\n"
+        "sweep.mode = bump\nsweep.amplitudes = 1e-8\nsweep.seeds = 1\n"
+        "sweep.k = 16\nsweep.e = 500\nsweep.h = 0.05\nsweep.d = 0.125\n"
+    )
+    out = tmp_path / "pairs"
+    with pytest.warns(UserWarning):  # the coefficient leaves [1/K, K]
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not list(out.glob("*/manifest.json"))
+
+
 def test_synth_requires_output_directory(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)
@@ -125,6 +171,16 @@ def test_counterexample_bad_radii_is_contract_error(tmp_path, capsys):
     code = main(["counterexample", "--r", "2.0", "--R", "1.0",
                  "--mmax", "3", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_counterexample_unwritable_path_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    out = blocker / "family.csv"
+    code = main(["counterexample", "--r", "1.0", "--R", "2.0",
+                 "--mmax", "3", "--out", str(out)])
+    assert code == 4
+    assert str(out) in capsys.readouterr().err
 
 
 def test_sweep_emits_reports(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Grid, mask, quadrature, norm and file-format unit tests."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hybridlab
 from hybridlab import (
     ContractViolation,
     Grid,
-    DomainSpec,
     PriorBounds,
     ScalarField,
     ball_mask,
@@ -53,16 +56,6 @@ def test_grid_rejects_bad_inputs():
 def test_rectangular_grid_allows_matched_spacing():
     g = Grid(nx=21, ny=11, lx=2.0, ly=1.0)
     assert g.h == pytest.approx(0.1)
-
-
-def test_domain_spec_validation():
-    d = DomainSpec(lx=1.0, ly=1.0)
-    assert d.measure == pytest.approx(1.0)
-    with pytest.raises(ContractViolation):
-        DomainSpec(lx=1.0, ly=1.0, rho=0.75)  # beyond half the short side
-    with pytest.raises(ContractViolation):
-        DomainSpec(lx=1.0, ly=1.0, m_lip=0.5)
-    assert DomainSpec(lx=3.0).measure == pytest.approx(3.0)
 
 
 def test_prior_bounds_validation():
@@ -313,6 +306,20 @@ def test_load_field_rejects_malformed(tmp_path):
     p.write_text("FIELD v1 3 1 1.0 0.0\n1\n2\n")
     with pytest.raises(ContractViolation):
         load_field(p)
+
+
+def test_report_writers_live_only_in_fields():
+    # every JSON/CSV report and every 17-digit float goes through fields.py
+    src = Path(hybridlab.__file__).parent
+    for pattern in (r"json\.dump", r"csv\.writer", r"\.17g"):
+        hits = [
+            f"{path.name}:{n}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)
+        ]
+        assert len(hits) == 1 and hits[0].startswith("fields.py:"), (
+            pattern, hits)
 
 
 def test_full_mask_covers_grid():

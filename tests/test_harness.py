@@ -17,6 +17,7 @@ from hybridlab.harness import (
     StabilityReport,
     SweepConfig,
     SweepSample,
+    _fit_or_flag,
     emit_report,
     fit_holder,
     run_sweep,
@@ -72,13 +73,6 @@ def test_fit_recovers_planted_unit_power():
     assert abs(fit.eta_hat - 1.0) <= 1e-10
 
 
-def test_fit_unpacks_as_triple():
-    eps = np.logspace(-2, 0, 5)
-    c_hat, eta_hat, residual = fit_holder(list(zip(eps, np.sqrt(eps) + eps)))
-    assert abs(eta_hat - 1.0) <= 1e-10 and residual <= 1e-12
-    assert abs(c_hat - 1.0) <= 1e-10
-
-
 def test_fit_noisy_matches_normal_equations_oracle():
     rng = np.random.default_rng(11)
     eps = np.repeat(np.logspace(-4, -1, 8), 3)
@@ -121,6 +115,26 @@ def test_fit_underdetermined_below_three_points():
 def test_fit_underdetermined_without_epsilon_spread():
     with pytest.raises(UnderdeterminedFit):
         fit_holder([(0.1, 0.2), (0.1, 0.3), (0.1, 0.25)])
+
+
+def test_fit_flag_below_tolerance_only_when_every_point_is_below():
+    eps = np.logspace(-4, -1, 6)
+    tol = 1e-8
+    below = 1e-9 * (np.sqrt(eps) + eps) ** 0.05
+    fit, flag = _fit_or_flag(list(zip(eps, below)), tol)
+    assert fit is not None and flag == "below_tol"
+    # one point above tol makes the fit a measurement again
+    straddle = below.copy()
+    straddle[-1] = 2e-8
+    fit, flag = _fit_or_flag(list(zip(eps, straddle)), tol)
+    assert fit is not None and flag == "ok"
+    fit, flag = _fit_or_flag(list(zip(eps[:2], below[:2])), tol)
+    assert fit.underdetermined and flag == "below_tol"
+    fit, flag = _fit_or_flag(list(zip(eps[:2], 10 * tol + below[:2])), tol)
+    assert fit.underdetermined and flag == "underdetermined"
+    assert _fit_or_flag([(eps[0], below[0])], tol) == (None, "skipped")
+    # no tolerance given: the flag only says whether a fit exists
+    assert _fit_or_flag(list(zip(eps, below)))[1] == "ok"
 
 
 # --------------------------------------------------------------- SweepConfig
@@ -197,7 +211,8 @@ def test_sweep_error_monotone_in_margin(smoke_report):
 def test_sweep_fit_and_diagnostics_attached(smoke_report):
     rep = smoke_report
     assert rep.fit is not None and rep.fit is rep.fits["true"]
-    assert rep.fit_flags == {"true": "ok", "recon": "ok"}
+    # every err_recon (largest ~3e-10) is under recon.tol = 1e-8
+    assert rep.fit_flags == {"true": "ok", "recon": "below_tol"}
     assert rep.fit.n_used == 6
     assert rep.diagnostics is not None
     assert rep.diagnostics.weighted is not None
@@ -291,7 +306,7 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
     fit = json.loads(files["fit"].read_text())
     assert fit["fit"]["eta_hat"] == smoke_report.fit.eta_hat
     assert fit["fits"]["recon"]["n_used"] == 6
-    assert fit["fit_flags"] == {"true": "ok", "recon": "ok"}
+    assert fit["fit_flags"] == {"true": "ok", "recon": "below_tol"}
     assert fit["n_samples"] == 6
     assert fit["diagnostics_summary"]["max_doubling"] > 0
     assert fit["config"] == {"sweep.nx": "17"}
