@@ -136,8 +136,11 @@ def pathology_table(r: float, rr: float, m_max: int,
     """Rows m = 1..m_max of the instability table.
 
     data_gap is the sampled sup of |q_2m u_2m^2 - q_m u_m^2| on a grid
-    with at least 40 points per oscillation period; coefficient gaps are
-    closed form; k_required = A_m names the hypothesis that fails.
+    with at least 40 points per oscillation period; only samples with
+    |x| < r are evaluated, since outside both members are
+    q = 1, u = -sin(|x| - r) and their data agree exactly.  Coefficient
+    gaps are closed form; k_required = A_m names the hypothesis that
+    fails.
     """
     if m_max < 1:
         raise ContractViolation(f"m_max must be >= 1, got {m_max}")
@@ -148,9 +151,10 @@ def pathology_table(r: float, rr: float, m_max: int,
         fam = OscillatoryFamily(r=r, rr=rr, m=m)
         fam2 = OscillatoryFamily(r=r, rr=rr, m=2 * m)
         x = _sample_grid(r, rr, m)
+        x = x[np.abs(x) < r]
         data1 = eval_q(fam, x) * eval_u(fam, x) ** 2
         data2 = eval_q(fam2, x) * eval_u(fam2, x) ** 2
-        gap = float(np.max(np.abs(data2 - data1)))
+        gap = float(np.max(np.abs(data2 - data1), initial=0.0))
         rows.append(PathologyRow(
             m=m,
             a_m=fam.a_m,

@@ -50,6 +50,7 @@ from .fields import (
     write_json,
     write_text,
 )
+from .forward import solve_dirichlet
 from .reconstruction import reconstruct
 from .synthesis import make_pair, perturb_coefficient
 
@@ -286,24 +287,33 @@ def sweep_pairs(config: SweepConfig):
     Yields (amplitude, seed, pair); a cell whose pair synthesis raises
     SolverError or ContractViolation yields that exception in place of
     the pair, so the caller decides whether a failed cell is recorded or
-    fatal.
+    fatal.  The base coefficient q1 is solved against g once and that
+    report is shared by every cell; when the base solve itself fails,
+    every cell yields its exception.
     """
     q1 = field_from_spec(config.grid, config.q_spec)
     g = g_from_spec(config.grid, config.g_spec)
+    try:
+        base = solve_dirichlet(q1, g, config.solver_tol, bounds=config.bounds)
+    except (SolverError, ContractViolation) as exc:
+        base = exc
     for amplitude in config.amplitudes:
         for s in range(config.seeds):
             seed = config.seed0 + s
             result = perturb_coefficient(
                 q1, config.mode, amplitude, seed, bounds=config.bounds
             )
-            try:
-                pair = make_pair(
-                    q1, result.field, g, config.bounds,
-                    seed=seed, mode=config.mode, amplitude=amplitude,
-                    tol=config.solver_tol, jitter=config.jitter,
-                )
-            except (SolverError, ContractViolation) as exc:
-                pair = exc
+            pair = base
+            if not isinstance(base, Exception):
+                try:
+                    pair = make_pair(
+                        q1, result.field, g, config.bounds,
+                        seed=seed, mode=config.mode, amplitude=amplitude,
+                        tol=config.solver_tol, jitter=config.jitter,
+                        report1=base,
+                    )
+                except (SolverError, ContractViolation) as exc:
+                    pair = exc
             yield amplitude, seed, pair
 
 

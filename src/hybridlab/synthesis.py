@@ -215,18 +215,25 @@ def _check_bounds_flags(pair_fields, bounds: PriorBounds) -> dict:
 
 def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
               seed: int = 0, mode: str = "custom", amplitude: float = 0.0,
-              tol: float = 1e-9, jitter: float = 0.0) -> ExperimentPair:
+              tol: float = 1e-9, jitter: float = 0.0,
+              report1: SolveReport | None = None) -> ExperimentPair:
     """Solve both coefficients against the same g and package the pair.
 
     epsilon is the grid sup norm of f1 - f2; bdry_gap the sup over
     boundary nodes of ||u1| - |u2||, zero by construction unless jitter
     re-solves u2 with boundary data displaced by at most
     jitter * sqrt(K * epsilon).  Near-singular solves propagate.
+    report1, when given, is the solve of q1 against g already at hand
+    (a sweep solves its base coefficient once) and is used in place of
+    solving q1 again.
     """
     if q1.grid != q2.grid:
         raise ContractViolation("pair coefficients live on different grids")
     gvec = boundary_values(q1.grid, g)
-    rep1 = DiscreteOperator(q1, bounds=bounds).solve(gvec, tol)
+    rep1 = (report1 if report1 is not None
+            else DiscreteOperator(q1, bounds=bounds).solve(gvec, tol))
+    if rep1.u.grid != q1.grid:
+        raise ContractViolation("report1 lives on another grid than q1")
     op2 = DiscreteOperator(q2, bounds=bounds)
     rep2 = op2.solve(gvec, tol)
     f1 = internal_data(q1, rep1.u)

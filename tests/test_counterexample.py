@@ -8,6 +8,7 @@ import pytest
 from hybridlab import ContractViolation
 from hybridlab.counterexample import (
     OscillatoryFamily,
+    _sample_grid,
     coefficient_gap,
     eval_q,
     eval_u,
@@ -77,6 +78,20 @@ def test_data_gap_bounded_by_two_for_twenty_members():
     for row in rows:
         assert row.data_gap <= 2.0
         assert row.data_gap > 0.1  # the gap is genuinely order one
+
+
+@pytest.mark.parametrize("r, rr, m_max", [(1.0, 2.0, 6), (0.3, 2.5, 4),
+                                           (1.7, 1.8, 5)])
+def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max):
+    # outside |x| < r both members share q = 1 and u, so the samples the
+    # table skips contribute exact zeros
+    for row in pathology_table(r, rr, m_max):
+        x = _sample_grid(r, rr, row.m)
+        fam = OscillatoryFamily(r=r, rr=rr, m=row.m)
+        fam2 = OscillatoryFamily(r=r, rr=rr, m=2 * row.m)
+        whole = np.max(np.abs(eval_q(fam2, x) * eval_u(fam2, x) ** 2
+                              - eval_q(fam, x) * eval_u(fam, x) ** 2))
+        assert row.data_gap == whole
 
 
 def test_coefficient_gap_closed_forms():

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hybridlab.forward
 from hybridlab import ContractViolation, Grid, PriorBounds, UnderdeterminedFit
 from hybridlab.config import parse_config
 from hybridlab.diagnostics import DiagnosticsReport
+from hybridlab.errors import NearSingularError
 from hybridlab.harness import (
     HolderFit,
     StabilityReport,
@@ -21,6 +23,7 @@ from hybridlab.harness import (
     emit_report,
     fit_holder,
     run_sweep,
+    sweep_pairs,
 )
 
 
@@ -268,6 +271,49 @@ def test_sweep_flags_failed_pair_and_continues():
     assert sample.flags["failure"] == "NearSingularError"
     assert math.isnan(sample.epsilon)
     assert rep.fit is None and rep.fit_flags["true"] == "skipped"
+
+
+def test_sweep_constructs_one_operator_per_cell_plus_base(monkeypatch):
+    # the base q1 is assembled and solved once per sweep; reconstruction
+    # builds no operator at all
+    built = []
+    real_init = hybridlab.forward.DiscreteOperator.__init__
+
+    def counting_init(self, q, bounds=None):
+        built.append(q)
+        real_init(self, q, bounds)
+
+    monkeypatch.setattr(hybridlab.forward.DiscreteOperator, "__init__",
+                        counting_init)
+    cfg = small_sweep_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_sweep(cfg)
+    cells = len(cfg.amplitudes) * cfg.seeds
+    assert len(rep.samples) == cells
+    assert all(s.flags["recon_converged"] for s in rep.samples)
+    assert len(built) == cells + 1
+
+
+def test_sweep_base_solve_failure_fails_every_cell():
+    # the base coefficient sits on a discrete eigenvalue: every cell
+    # carries the base solve's exception
+    grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
+    mu = (4.0 / grid.h**2) * (1.0 - math.cos(math.pi * grid.h))
+    cfg = small_sweep_config(
+        grid=grid, q_spec=f"const:{mu!r}", g_spec="const:1",
+        bounds=PriorBounds(k_bound=16.0, e_bound=500.0, h_bound=0.05,
+                           d_margin=0.125),
+        amplitudes=(0.01, 0.1), seeds=2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cells = list(sweep_pairs(cfg))
+        rep = run_sweep(cfg)
+    assert [(a, s) for a, s, _ in cells] == [(0.01, 0), (0.01, 1),
+                                              (0.1, 0), (0.1, 1)]
+    assert all(isinstance(p, NearSingularError) for _, _, p in cells)
+    assert [s.flags["failure"] for s in rep.samples] == ["NearSingularError"] * 4
 
 
 def test_sweep_negative_control_weak_data_excluded():

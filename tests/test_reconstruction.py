@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from hybridlab import ContractViolation, Grid, PriorBounds, ScalarField
-from hybridlab.config import g_from_spec
-from hybridlab.forward import solve_dirichlet
+from hybridlab.config import field_from_spec, g_from_spec
+from hybridlab.errors import SolverFailure
+from hybridlab.fields import boundary_field
+from hybridlab.forward import DiscreteOperator, solve_dirichlet
 from hybridlab.reconstruction import (
+    DirichletLaplacian,
     reconstruct,
     reconstruct_u,
     reconstruction_error,
@@ -17,6 +20,7 @@ from hybridlab.reconstruction import (
 from hybridlab.synthesis import internal_data
 
 BOUNDS = PriorBounds(k_bound=4.0, e_bound=10.0, h_bound=0.2, d_margin=0.1)
+SOLVER_TOL = 1e-9  # the residual contract of every solve (solver.tol)
 
 
 def coscos(x, y):
@@ -32,12 +36,60 @@ def coscos_sq(x, y):
 def test_zero_measurement_returns_harmonic_extension():
     grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
     f0 = ScalarField.constant(grid, 0.0)
-    res = reconstruct_u(f0, coscos)
+    res = reconstruct_u(f0, coscos, solver_tol=SOLVER_TOL)
     assert res.iterations == 1
     assert res.converged
     assert res.final_update_linf == 0.0
+    # sine transform against sparse LU: equal within the residual contract
     harmonic = solve_dirichlet(ScalarField.constant(grid, 0.0), coscos)
-    np.testing.assert_array_equal(res.u_hat.values, harmonic.u.values)
+    diff = np.max(np.abs(res.u_hat.values - harmonic.u.values))
+    assert diff <= SOLVER_TOL * np.max(np.abs(harmonic.u.values))
+
+
+# --- DirichletLaplacian -----------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    Grid(nx=41, lx=2.0),
+    Grid(nx=17, ny=17, lx=1.0, ly=1.0),
+    Grid(nx=33, ny=17, lx=2.0, ly=1.0),
+], ids=["1d", "square", "rectangle"])
+def test_sine_transform_solve_matches_sparse_lu(grid):
+    rng = np.random.default_rng(5)
+    source = rng.normal(size=grid.shape)
+    g = g_from_spec(grid, "coscos")
+    zero = ScalarField.constant(grid, 0.0)
+    ref = solve_dirichlet(zero, g, SOLVER_TOL, source=ScalarField(grid, source))
+    # only the boundary of the given full field counts
+    full = field_from_spec(grid, "coscos").values
+    u = DirichletLaplacian(grid).solve(full, source, SOLVER_TOL)
+    scale = np.max(np.abs(ref.u.values))
+    assert np.max(np.abs(u - ref.u.values)) <= SOLVER_TOL * scale
+    edge = grid.boundary_distance() == 0
+    np.testing.assert_array_equal(u[edge], ref.u.values[edge])
+    # the residual contract, measured with the assembled sparse matrix
+    op = DiscreteOperator(zero)
+    b = op.load_vector(g, ScalarField(grid, source))
+    assert op.residual_linf(u[op.interior], b) <= SOLVER_TOL * np.max(np.abs(b))
+
+
+def test_sine_transform_rejects_fields_of_another_shape():
+    lap = DirichletLaplacian(Grid(nx=9, ny=9, lx=1.0, ly=1.0))
+    with pytest.raises(ContractViolation):
+        lap.solve(np.zeros((9, 7)))
+    with pytest.raises(ContractViolation):
+        lap.solve(np.zeros((9, 9)), np.zeros((7, 9)))
+    with pytest.raises(ContractViolation):
+        lap.solve(np.zeros((9, 9)), tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sine_transform_non_finite_source_is_solver_failure(bad):
+    grid = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
+    source = np.ones(grid.shape)
+    source[4, 4] = bad
+    with pytest.raises(SolverFailure, match="method dst"), \
+            np.errstate(invalid="ignore"):
+        DirichletLaplacian(grid).solve(boundary_field(grid, 1.0), source)
 
 
 @pytest.mark.parametrize("nx", [17, 33, 65])

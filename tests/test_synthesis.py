@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybridlab import ContractViolation, Grid, PriorBounds, ScalarField
+from hybridlab.forward import solve_dirichlet
 from hybridlab.synthesis import (
     internal_data,
     load_pair,
@@ -163,6 +164,24 @@ def test_pair_triangle_inequality_envelope():
     dq = np.max(np.abs(q1.values - q2.values))
     envelope = BOUNDS.k_bound * du + dq * np.max(np.abs(pair.u2.values)) ** 2
     assert pair.epsilon <= envelope + 1e-12
+
+
+def test_pair_reuses_given_base_report():
+    g = unit_square(17)
+    q1 = ScalarField.constant(g, 2.0)
+    q2 = perturb_coefficient(q1, "bump", 0.1, seed=5, bounds=BOUNDS).field
+    own = make_pair(q1, q2, coscos, BOUNDS, seed=5)
+    base = solve_dirichlet(q1, coscos, bounds=BOUNDS)
+    shared = make_pair(q1, q2, coscos, BOUNDS, seed=5, report1=base)
+    assert shared.report1 is base
+    for name in ("u1", "u2", "f1", "f2"):
+        np.testing.assert_array_equal(getattr(shared, name).values,
+                                      getattr(own, name).values)
+    assert (shared.epsilon, shared.bdry_gap, shared.flags) == \
+        (own.epsilon, own.bdry_gap, own.flags)
+    other = solve_dirichlet(ScalarField.constant(unit_square(9), 2.0), coscos)
+    with pytest.raises(ContractViolation):
+        make_pair(q1, q2, coscos, BOUNDS, report1=other)
 
 
 def test_pair_nodewise_measurement_consistency():
