@@ -33,7 +33,7 @@ from .fields import (
     norms,
     save_field,
 )
-from .forward import DiscreteOperator, eigen_gap, solve_dirichlet
+from .forward import DiscreteOperator, solve_dirichlet
 from .synthesis import internal_data, make_pair, perturb_coefficient
 from .reconstruction import reconstruct, reconstruct_u, recover_q
 from .diagnostics import collect_diagnostics, weighted_checks
@@ -63,7 +63,6 @@ __all__ = [
     "norms",
     "save_field",
     "DiscreteOperator",
-    "eigen_gap",
     "solve_dirichlet",
     "internal_data",
     "make_pair",

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .fields import write_csv
+from .forward import stencil
 
 __all__ = [
     "OscillatoryFamily",
@@ -179,7 +180,7 @@ def residual_check(fam: OscillatoryFamily, h: float) -> float:
     u = eval_u(fam, x)
     q = eval_q(fam, x)
     inner = slice(1, -1)
-    second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / step**2
+    second = stencil(u[None, :], step)[0]
     residual = np.abs(second + q[inner] * u[inner])
     keep = np.abs(np.abs(x[inner]) - fam.r) > step
     if not keep.any():

@@ -19,13 +19,14 @@ hidden.
 
 Every solve of the iteration is the pure Dirichlet Laplacian (q = 0) on
 the uniform grid, which the type-I discrete sine transform diagonalises:
-the eigenvalues of the 5-point (3-point in 1D) stencil are
+the eigenvalues of the 5-point (3-point in 1D) stencil (forward.stencil,
+shared with the forward operator) are
 (2 cos(pi k/(m+1)) - 2)/h^2 per axis, summed in 2D.  DirichletLaplacian
 solves it by two DSTs per axis, each the FFT of the odd extension, with
 no matrix and no factorization.  Its spectral gap is exact and closed
 form, so no gap check is needed, but every solve keeps the forward
 solver's residual contract ||A x - b||_inf <= solver_tol ||b||_inf,
-with the residual taken by the stencil on the full field.
+with the load and the residual taken by that stencil on the full field.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, SolverFailure
+from .forward import stencil
 from .fields import (
     Grid,
     PriorBounds,
@@ -127,15 +129,6 @@ class DirichletLaplacian:
         self.eigenvalues = eig
         self._scale = scale
 
-    def _stencil(self, u: np.ndarray) -> np.ndarray:
-        """The discrete Laplacian of the full field u at interior nodes."""
-        if self.grid.is_1d:
-            lap = u[:, 2:] + u[:, :-2] - 2.0 * u[:, 1:-1]
-        else:
-            lap = (u[1:-1, 2:] + u[1:-1, :-2] + u[2:, 1:-1] + u[:-2, 1:-1]
-                   - 4.0 * u[1:-1, 1:-1])
-        return lap / self.h**2
-
     def _sine(self, x: np.ndarray) -> np.ndarray:
         x = _dst1(x)
         return x if self.grid.is_1d else _dst1(x.T).T
@@ -157,9 +150,9 @@ class DirichletLaplacian:
                     f"field shape {arr.shape} != grid shape {self.grid.shape}")
         u[self.inner] = 0.0
         s = 0.0 if source is None else source[self.inner]
-        b = s - self._stencil(u)
+        b = s - stencil(u, self.h)
         u[self.inner] = self._scale * self._sine(self._sine(b) / self.eigenvalues)
-        res = float(np.max(np.abs(self._stencil(u) - s)))
+        res = float(np.max(np.abs(stencil(u, self.h) - s)))
         bound = tol * float(np.max(np.abs(b)))
         if not res <= bound:
             raise SolverFailure(

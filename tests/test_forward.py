@@ -1,17 +1,17 @@
 """Forward solver tests: assembly oracle, manufactured solutions,
 spectrum closed forms, near-singular detection."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hybridlab.forward
 from hybridlab import Grid, NearSingularError, PriorBounds, ScalarField
 from hybridlab.fields import boundary_values
-from hybridlab.forward import (
-    DiscreteOperator,
-    eigen_gap,
-    solve_dirichlet,
-)
+from hybridlab.forward import DiscreteOperator, solve_dirichlet, stencil
 
 
 def coscos(x, y):
@@ -33,28 +33,34 @@ def test_1d_three_nodes_harmonic_midpoint():
     assert rep.u.values[0, 0] == 0.0 and rep.u.values[0, 2] == 1.0
 
 
-def test_dense_assembly_oracle_5x5():
-    grid = Grid(nx=5, ny=5, lx=1.0, ly=1.0)
+@pytest.mark.parametrize("grid, g", [
+    (Grid(nx=5, ny=5, lx=1.0, ly=1.0), coscos),
+    (Grid(nx=9, ny=5, lx=1.0, ly=0.5), coscos),
+    (Grid(nx=9, lx=1.0), np.cos),
+], ids=["square", "rectangle", "1d"])
+def test_dense_assembly_oracle(grid, g):
+    # power-of-two spacing keeps the oracle's per-arm sums exact
     q = ScalarField.constant(grid, 2.0)
-    gvec = boundary_values(grid, coscos)
+    gvec = boundary_values(grid, g)
     op = DiscreteOperator(q)
     b = op.load_vector(gvec)
 
     # independent dense assembly: loop over interior nodes in row-major order
     h = grid.h
-    n = 9
     idx = {}
-    for j in range(1, 4):
-        for i in range(1, 4):
+    for j in range(1) if grid.is_1d else range(1, grid.ny - 1):
+        for i in range(1, grid.nx - 1):
             idx[(i, j)] = len(idx)
+    n = len(idx)
+    arms = ((1, 0), (-1, 0)) if grid.is_1d else ((1, 0), (-1, 0), (0, 1), (0, -1))
     a_ref = np.zeros((n, n))
     b_ref = np.zeros(n)
-    gfull = np.zeros((5, 5))
+    gfull = np.zeros(grid.shape)
     for (i, j), gv in zip(op_boundary_nodes(grid), gvec):
         gfull[j, i] = gv
     for (i, j), row in idx.items():
-        a_ref[row, row] = -4.0 / h**2 + 2.0
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        a_ref[row, row] = -len(arms) / h**2 + 2.0
+        for di, dj in arms:
             ni, nj = i + di, j + dj
             if (ni, nj) in idx:
                 a_ref[row, idx[(ni, nj)]] = 1.0 / h**2
@@ -69,6 +75,42 @@ def op_boundary_nodes(grid):
     from hybridlab.fields import boundary_nodes
 
     return boundary_nodes(grid)
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(nx=13, ny=9, lx=1.2, ly=0.8),
+    Grid(nx=17, lx=1.3),
+], ids=["rectangle", "1d"])
+def test_matrix_and_stencil_are_one_operator(grid):
+    # A u_int - b(trace of u) = stencil(u) + q u at the interior, for any
+    # full field u: both solvers' residual contracts rest on this
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-1.0, 1.0, grid.shape)
+    q = ScalarField(grid, rng.uniform(0.5, 3.0, grid.shape))
+    op = DiscreteOperator(q)
+    got = op.matrix @ u[op.interior] - op.load_vector(ScalarField(grid, u))
+    want = stencil(u, grid.h).ravel() + q.values[op.interior] * u[op.interior]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_one_stencil_in_src():
+    # the finite-difference stencil is written once, in forward.stencil;
+    # every other module builds on it instead of slicing its own copy
+    src = Path(hybridlab.__file__).parent
+
+    def hits(pattern):
+        return [
+            (path.name, n)
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)
+        ]
+
+    lines, start = inspect.getsourcelines(stencil)
+    inside = [("forward.py", n) for n in range(start, start + len(lines))]
+    shifted = hits(r"\[[^\]]*(\b2:|:-2\b)")
+    assert shifted and all(hit in inside for hit in shifted), shifted
+    assert hits(r"np\.add\.at") == []
 
 
 def test_matrix_structure_and_symmetry():
@@ -189,16 +231,24 @@ def test_eigen_gap_against_dense_oracle():
     op = DiscreteOperator(q)
     lam = np.linalg.eigvalsh(op.matrix.toarray())
     oracle = np.min(np.abs(lam))
-    got = eigen_gap(op)
+    got = op.eigen_gap()
     assert got.converged
     assert got.value == pytest.approx(oracle, rel=1e-3)
     # coarse-grid gap sits near the continuum value |2 - 2 pi^2|
     assert got.value == pytest.approx(abs(2.0 - 2.0 * np.pi**2), rel=0.02)
 
 
+def test_eigen_gap_is_reproducible():
+    # fresh operators on the same coefficient give one gap, bit for bit
+    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
+    q = ScalarField.constant(grid, 8.0)
+    gaps = {DiscreteOperator(q).eigen_gap().value for _ in range(20)}
+    assert len(gaps) == 1
+
+
 def test_eigen_gap_1d_closed_form():
     grid = Grid(nx=41, lx=1.0)
-    gap = eigen_gap(ScalarField.constant(grid, 0.0))
+    gap = DiscreteOperator(ScalarField.constant(grid, 0.0)).eigen_gap()
     h = grid.h
     assert gap.value == pytest.approx((2.0 / h**2) * (1.0 - np.cos(np.pi * h)),
                                       rel=1e-6)
@@ -208,7 +258,7 @@ def test_eigen_gap_1d_closed_form():
 def test_eigen_gap_planted_discrete_eigenvalue():
     grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
     q = ScalarField.constant(grid, mu_min_2d(grid.h))
-    gap = eigen_gap(q)
+    gap = DiscreteOperator(q).eigen_gap()
     assert gap.value <= 1e-8
 
 
