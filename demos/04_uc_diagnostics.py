@@ -58,7 +58,7 @@ def main():
     line = Grid(nx=256, lx=1.0)
     u = ScalarField.from_function(line, lambda x: x - 0.5)
     for delta in (0.5, 1.5):
-        v, _ = negative_power_integral(u, 0.125, delta, 1e-12)
+        v, _ = negative_power_integral(u, 0.125, delta)
         print(f"u = x - 1/2, delta={delta}: integral {v:.2f}")
 
 

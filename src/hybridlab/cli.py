@@ -8,7 +8,6 @@ malformed inputs), 3 solver failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -200,10 +199,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             return args.handler(args)
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # ContractViolation and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

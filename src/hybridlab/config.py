@@ -160,22 +160,22 @@ def g_from_spec(grid: Grid, spec: str) -> np.ndarray:
     return boundary_values(grid, field_from_spec(grid, spec))
 
 
-def grid_from_config(cfg: dict, prefix: str = "sweep.") -> Grid:
-    nx = get_int(cfg, prefix + "nx")
-    ny = get_int(cfg, prefix + "ny", nx)
-    lx = get_float(cfg, prefix + "lx", 1.0)
-    ly = get_float(cfg, prefix + "ly", 0.0 if ny == 1 else lx)
+def grid_from_config(cfg: dict) -> Grid:
+    nx = get_int(cfg, "sweep.nx")
+    ny = get_int(cfg, "sweep.ny", nx)
+    lx = get_float(cfg, "sweep.lx", 1.0)
+    ly = get_float(cfg, "sweep.ly", 0.0 if ny == 1 else lx)
     return Grid(nx=nx, ny=ny, lx=lx, ly=ly)
 
 
-def bounds_from_config(cfg: dict, prefix: str = "sweep.") -> PriorBounds:
+def bounds_from_config(cfg: dict) -> PriorBounds:
     # sweep.d may be a comma list of margins; the first one is primary.
-    d_vals = get_float_list(cfg, prefix + "d")
+    d_vals = get_float_list(cfg, "sweep.d")
     if not d_vals:
-        raise ContractViolation(f"config key {prefix}d must list at least one margin")
+        raise ContractViolation("config key sweep.d must list at least one margin")
     return PriorBounds(
-        k_bound=get_float(cfg, prefix + "k"),
-        e_bound=get_float(cfg, prefix + "e"),
-        h_bound=get_float(cfg, prefix + "h"),
+        k_bound=get_float(cfg, "sweep.k"),
+        e_bound=get_float(cfg, "sweep.e"),
+        h_bound=get_float(cfg, "sweep.h"),
         d_margin=d_vals[0],
     )

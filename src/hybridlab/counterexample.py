@@ -124,11 +124,11 @@ class PathologyRow:
     k_required: float
 
 
-def _sample_grid(r: float, rr: float, m: int, per_period: int = 40) -> np.ndarray:
+def _sample_grid(r: float, rr: float, m: int) -> np.ndarray:
     """Uniform samples resolving the finer (index 2m) oscillation."""
     root_a = np.sqrt((np.pi / 2 + 4 * m * np.pi) ** 2 / r**2)
     periods = 2.0 * rr * root_a / (2.0 * np.pi)
-    n = max(2001, int(np.ceil(per_period * periods)) + 1)
+    n = max(2001, int(np.ceil(40 * periods)) + 1)
     return np.linspace(-rr, rr, n)
 
 

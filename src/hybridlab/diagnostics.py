@@ -103,11 +103,10 @@ def propagation_ratio(u: ScalarField, center, r: float) -> float:
     return _sq_ball_integral(u, center, r) / total
 
 
-def muckenhoupt_value(u: ScalarField, center, r: float, p: float,
-                      tau_ap: float = TAU_AP):
+def muckenhoupt_value(u: ScalarField, center, r: float, p: float):
     """A_p product (avg u^2) * (avg |u|^(-2/(p-1)))^(p-1) on B_r(center).
 
-    |u| is floored at tau_ap inside the negative power; returns
+    |u| is floored at TAU_AP inside the negative power; returns
     (value, floor_hits).  Equals 1 exactly for constant fields.
     """
     if p <= 1.0:
@@ -118,8 +117,8 @@ def muckenhoupt_value(u: ScalarField, center, r: float, p: float,
     if measure <= 0.0:
         raise DegenerateBall(f"ball at {center}, r={r} contains no nodes")
     absu = np.abs(u.values)
-    hits = int(np.count_nonzero(mask & (absu < tau_ap)))
-    floored = np.maximum(absu, tau_ap)
+    hits = int(np.count_nonzero(mask & (absu < TAU_AP)))
+    floored = np.maximum(absu, TAU_AP)
     avg_sq = integrate(ScalarField(u.grid, u.values**2), mask) / measure
     avg_neg = integrate(
         ScalarField(u.grid, floored ** (-2.0 / (p - 1.0))), mask
@@ -127,9 +126,8 @@ def muckenhoupt_value(u: ScalarField, center, r: float, p: float,
     return avg_sq * avg_neg ** (p - 1.0), hits
 
 
-def negative_power_integral(u: ScalarField, d: float, delta: float,
-                            tau_ap: float = TAU_AP):
-    """Interior integral of clamp(|u|, tau_ap)^(-delta) over the margin-d
+def negative_power_integral(u: ScalarField, d: float, delta: float):
+    """Interior integral of clamp(|u|, TAU_AP)^(-delta) over the margin-d
     region; returns (value, floor_hits).
 
     Finiteness under grid refinement is the empirical stand-in for the
@@ -141,8 +139,8 @@ def negative_power_integral(u: ScalarField, d: float, delta: float,
     if not mask.any():
         raise ContractViolation(f"interior margin {d} leaves no nodes")
     absu = np.abs(u.values)
-    hits = int(np.count_nonzero(mask & (absu < tau_ap)))
-    floored = np.maximum(absu, tau_ap)
+    hits = int(np.count_nonzero(mask & (absu < TAU_AP)))
+    floored = np.maximum(absu, TAU_AP)
     value = integrate(ScalarField(u.grid, floored ** (-delta)), mask)
     return value, hits
 
@@ -197,16 +195,14 @@ class LevelSetResult:
 
 
 def level_set_error(q1: ScalarField, q2: ScalarField, u1: ScalarField,
-                    t: float, d: float = 0.0) -> LevelSetResult:
-    """L1 norm of q1 - q2 over D_t = {q1 u1^2 >= t} (optionally cut to
-    the interior margin d); empty level sets come back flagged."""
+                    t: float) -> LevelSetResult:
+    """L1 norm of q1 - q2 over D_t = {q1 u1^2 >= t}; empty level sets
+    come back flagged."""
     if t <= 0.0:
         raise ContractViolation(f"level threshold must be positive, got {t}")
     if q1.grid != q2.grid or q1.grid != u1.grid:
         raise ContractViolation("level-set inputs live on different grids")
     mask = q1.values * u1.values**2 >= t
-    if d > 0.0:
-        mask &= interior_mask(q1.grid, d)
     count = int(mask.sum())
     if count == 0:
         return LevelSetResult(0.0, 0, empty=True)
@@ -296,7 +292,7 @@ def _check_value(v: float) -> None:
         raise ContractViolation(f"diagnostic value {v!r} is not finite nonnegative")
 
 
-def _default_centers(grid: Grid, reach: float) -> list[tuple[float, float]]:
+def _ball_centers(grid: Grid, reach: float) -> list[tuple[float, float]]:
     """Coarse lattice of points at distance > reach from the boundary."""
     fracs = (0.3, 0.5, 0.7)
     xs = [f * grid.lx for f in fracs if reach < f * grid.lx < grid.lx - reach]
@@ -306,33 +302,29 @@ def _default_centers(grid: Grid, reach: float) -> list[tuple[float, float]]:
     return [(x, y) for y in ys for x in xs]
 
 
-def collect_diagnostics(pair: ExperimentPair, *, r_ball: float = 0.0,
-                        centers=None, ps=(1.5, 2.0, 3.0),
-                        deltas=(0.25, 0.5, 0.75, 1.0, 1.5),
-                        ts=None, tau_ap: float = TAU_AP) -> DiagnosticsReport:
+def collect_diagnostics(pair: ExperimentPair) -> DiagnosticsReport:
     """Evaluate every diagnostic on the pair's first solution.
 
-    Centers default to a coarse interior lattice that keeps the doubled
-    ball inside the domain; degenerate balls are skipped.  best_delta is
-    the largest swept delta whose interior negative-power integral moves
-    by at most 25% between the grid and its 2x coarsening (None when the
+    Balls sit on a coarse interior lattice that keeps the doubled ball
+    inside the domain; degenerate balls are skipped.  best_delta is the
+    largest swept delta whose interior negative-power integral moves by
+    at most 25% between the grid and its 2x coarsening (None when the
     node counts do not permit coarsening or nothing is stable).
     """
     grid = pair.grid
     u = pair.u1
     short = grid.lx if grid.is_1d else min(grid.lx, grid.ly)
-    r = r_ball if r_ball > 0 else short / 8.0
-    pts = centers if centers is not None else _default_centers(grid, 2.0 * r)
+    r = short / 8.0
 
     doubling, propagation, ap = [], [], []
-    for c in pts:
+    for c in _ball_centers(grid, 2.0 * r):
         try:
             doubling.append((c, r, doubling_ratio(u, c, r)))
         except DegenerateBall:
             pass
         propagation.append((c, r, propagation_ratio(u, c, r)))
-        for p in ps:
-            val, hits = muckenhoupt_value(u, c, r, p, tau_ap)
+        for p in (1.5, 2.0, 3.0):
+            val, hits = muckenhoupt_value(u, c, r, p)
             ap.append((c, r, p, val, hits))
 
     d = pair.bounds.d_margin
@@ -341,19 +333,18 @@ def collect_diagnostics(pair: ExperimentPair, *, r_ball: float = 0.0,
     if coarse is not None and not interior_mask(coarse.grid, d).any():
         coarse = None
     best = None
-    for delta in sorted(deltas):
-        val, hits = negative_power_integral(u, d, delta, tau_ap)
+    for delta in (0.25, 0.5, 0.75, 1.0, 1.5):
+        val, hits = negative_power_integral(u, d, delta)
         neg.append((d, delta, val, hits))
         if coarse is not None:
-            cval, _ = negative_power_integral(coarse, d, delta, tau_ap)
+            cval, _ = negative_power_integral(coarse, d, delta)
             if abs(val - cval) <= 0.25 * abs(val):
                 best = delta
 
     weighted = weighted_checks(pair) if pair.hypothesis_ok else None
 
     fmax = float(pair.f1.values.max())
-    if ts is None:
-        ts = [frac * fmax for frac in (0.1, 0.5, 0.9) if fmax > 0]
+    ts = [frac * fmax for frac in (0.1, 0.5, 0.9) if fmax > 0]
     levels = []
     for t in ts:
         res = level_set_error(pair.q1, pair.q2, pair.u1, t)

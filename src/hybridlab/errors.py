@@ -11,7 +11,12 @@ class ContractViolation(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Base class for linear-solver failures."""
+    """Base class for linear-solver failures; ``report`` carries the
+    partial solve report, or None."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NearSingularError(SolverError):
@@ -21,17 +26,9 @@ class NearSingularError(SolverError):
     estimate) in ``report``.
     """
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class SolverFailure(SolverError):
     """The forward solve missed its residual contract for other reasons."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class DegenerateBall(ContractViolation):

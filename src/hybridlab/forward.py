@@ -18,12 +18,13 @@ case the boundary value problem degrades from well posed to ill posed.
 Each operator is factored once by sparse LU (SuperLU); that factor
 serves every solve and, as the shift-invert operator, the estimate of
 the spectral gap min |lambda| that every solve carries, so near-singular
-systems are flagged instead of silently amplifying noise.
+systems are flagged instead of silently amplifying noise.  The solver
+takes no prior: the range 1/K <= q <= K is a hypothesis on the
+experiment, which synthesis.make_pair records as each pair's k_ok flag.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ContractViolation, NearSingularError, SolverFailure
-from .fields import PriorBounds, ScalarField, boundary_field
+from .fields import ScalarField, boundary_field
 
 __all__ = [
     "DiscreteOperator",
@@ -88,7 +89,7 @@ class DiscreteOperator:
     factor.
     """
 
-    def __init__(self, q: ScalarField, bounds: PriorBounds | None = None):
+    def __init__(self, q: ScalarField):
         grid = q.grid
         self.grid = grid
         self.q = q
@@ -113,17 +114,6 @@ class DiscreteOperator:
         self.matrix = sp.csr_array((vals, (rows, cols)),
                                    shape=(self.n, self.n))
 
-        self.q_in_bounds = True
-        if bounds is not None:
-            lo, hi = 1.0 / bounds.k_bound, bounds.k_bound
-            tol = 1e-12 * hi
-            if q.values.min() < lo - tol or q.values.max() > hi + tol:
-                self.q_in_bounds = False
-                warnings.warn(
-                    "coefficient leaves the declared [1/K, K] range",
-                    stacklevel=3,
-                )
-
     def load_vector(self, g, source: ScalarField | None = None) -> np.ndarray:
         """Right-hand side for boundary data g and optional volume source s,
         the source entering as  laplacian(u) + q u = s."""
@@ -134,12 +124,6 @@ class DiscreteOperator:
             b += source.values[self.interior]
         return b
 
-    def expand(self, u_int: np.ndarray, g) -> ScalarField:
-        """Glue interior unknowns and boundary data into a full field."""
-        full = boundary_field(self.grid, g)
-        full[self.interior] = u_int
-        return ScalarField(self.grid, full)
-
     @cached_property
     def _lu(self):
         """Sparse LU factor of the interior matrix, or None when SuperLU
@@ -149,24 +133,8 @@ class DiscreteOperator:
         except RuntimeError:
             return None
 
-    def solve_vec(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b with the shared LU factor.
-
-        A singular factor or a non-finite solution hands back the zero
-        iterate, which the caller's residual contract routes to the gap
-        check.
-        """
-        x = self._lu.solve(b) if self._lu is not None else np.zeros(self.n)
-        if not np.all(np.isfinite(x)):
-            x = np.zeros(self.n)
-        return x
-
     def residual_linf(self, x: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(self.matrix @ x - b), initial=0.0))
-
-    def gap_threshold(self) -> float:
-        return 1e-6 * (float(np.max(np.abs(self.q.values)))
-                       + (2.0 if self.grid.is_1d else 4.0) / self.h**2)
 
     def eigen_gap(self) -> EigenGap:
         """min |lambda| over the interior spectrum, cached."""
@@ -200,19 +168,26 @@ class DiscreteOperator:
 
         Success means ||A u_int - b||_inf <= tol * ||b||_inf.  A solve
         that misses the contract raises NearSingular when the spectral
-        gap falls below the scale-relative gap_threshold(), and a
-        generic solver failure otherwise; both carry the partial report.
+        gap falls below 1e-6 of the operator's norm bound, and a generic
+        solver failure otherwise; both carry the partial report.
         """
         if tol <= 0:
             raise ContractViolation(f"tol must be positive, got {tol}")
         b = self.load_vector(g, source)
-        x = self.solve_vec(b)
+        # a singular factor or a non-finite solution hands back the zero
+        # iterate, which the residual contract routes to the gap check
+        x = self._lu.solve(b) if self._lu is not None else np.zeros(self.n)
+        if not np.all(np.isfinite(x)):
+            x = np.zeros(self.n)
         res = self.residual_linf(x, b)
         gap = self.eigen_gap()
-        threshold = self.gap_threshold()
+        threshold = 1e-6 * (float(np.max(np.abs(self.q.values)))
+                            + (2.0 if self.grid.is_1d else 4.0) / self.h**2)
         ok = res <= tol * float(np.max(np.abs(b), initial=0.0))
+        full = boundary_field(self.grid, g)
+        full[self.interior] = x
         report = SolveReport(
-            u=self.expand(x, g),
+            u=ScalarField(self.grid, full),
             residual_linf=res,
             eigen_gap_estimate=gap.value,
             method="splu",
@@ -234,9 +209,8 @@ class DiscreteOperator:
 
 
 def solve_dirichlet(q: ScalarField, g, tol: float = 1e-9, *,
-                    bounds: PriorBounds | None = None,
                     source: ScalarField | None = None) -> SolveReport:
     """Assemble and solve laplacian(u) + q u = source with u = g on the
     boundary; see DiscreteOperator.solve for the residual contract."""
-    op = DiscreteOperator(q, bounds=bounds)
+    op = DiscreteOperator(q)
     return op.solve(g, tol, source=source)

@@ -43,15 +43,12 @@ from .errors import ContractViolation, SolverError, UnderdeterminedFit
 from .fields import (
     Grid,
     PriorBounds,
-    ScalarField,
-    interior_mask,
-    norms,
     write_csv,
     write_json,
     write_text,
 )
 from .forward import solve_dirichlet
-from .reconstruction import reconstruct
+from .reconstruction import reconstruct, reconstruction_error
 from .synthesis import make_pair, perturb_coefficient
 
 __all__ = [
@@ -173,12 +170,12 @@ class HolderFit:
     n_excluded: int
     underdetermined: bool = False
 
-    def envelope(self, epsilon, slack_sigmas: float = 3.0):
-        """Fitted curve value scaled by exp(slack_sigmas * residual_rms)."""
+    def envelope(self, epsilon):
+        """Fitted curve value scaled by exp(3 * residual_rms)."""
         eps = np.asarray(epsilon, dtype=float)
         x = np.sqrt(eps) + eps
         return self.c_hat * x**self.eta_hat * math.exp(
-            slack_sigmas * self.residual_rms
+            3.0 * self.residual_rms
         )
 
 
@@ -218,11 +215,9 @@ def fit_holder(samples) -> HolderFit:
     resid = ys - design @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
 
+    # n > 2 and the epsilon spread make sxx positive
     sxx = float(np.sum((xs - xs.mean()) ** 2))
-    if n > 2 and sxx > 0:
-        se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
-    else:
-        se = 0.0
+    se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
     return HolderFit(
         c_hat=float(np.exp(intercept)),
         eta_hat=float(slope),
@@ -294,7 +289,7 @@ def sweep_pairs(config: SweepConfig):
     q1 = field_from_spec(config.grid, config.q_spec)
     g = g_from_spec(config.grid, config.g_spec)
     try:
-        base = solve_dirichlet(q1, g, config.solver_tol, bounds=config.bounds)
+        base = solve_dirichlet(q1, g, config.solver_tol)
     except (SolverError, ContractViolation) as exc:
         base = exc
     for amplitude in config.amplitudes:
@@ -329,8 +324,7 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     agree only within solver_tol (relative) and reconstruction errors
     within recon_tol (absolute).  See "Reproducibility" in the README.
     """
-    grid = config.grid
-    g = g_from_spec(grid, config.g_spec)
+    g = g_from_spec(config.grid, config.g_spec)
 
     samples = []
     diag_pair = None
@@ -346,9 +340,8 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
             ))
             continue
 
-        diff = ScalarField(grid, pair.q1.values - pair.q2.values)
         err_true = {
-            d: norms(diff, interior_mask(grid, d)).l1
+            d: reconstruction_error(pair.q1, pair.q2, d).l1
             for d in config.d_list
         }
 
@@ -361,9 +354,8 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
                 tol=config.recon_tol, max_iter=config.recon_max_iter,
                 tau=config.recon_tau, solver_tol=config.solver_tol,
             )
-            rdiff = ScalarField(grid, recon.q_hat.values - pair.q2.values)
             err_recon = {
-                d: norms(rdiff, interior_mask(grid, d)).l1
+                d: reconstruction_error(recon.q_hat, pair.q2, d).l1
                 for d in config.d_list
             }
             flags["recon_converged"] = bool(recon.converged)

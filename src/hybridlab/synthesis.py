@@ -231,10 +231,10 @@ def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
         raise ContractViolation("pair coefficients live on different grids")
     gvec = boundary_values(q1.grid, g)
     rep1 = (report1 if report1 is not None
-            else DiscreteOperator(q1, bounds=bounds).solve(gvec, tol))
+            else DiscreteOperator(q1).solve(gvec, tol))
     if rep1.u.grid != q1.grid:
         raise ContractViolation("report1 lives on another grid than q1")
-    op2 = DiscreteOperator(q2, bounds=bounds)
+    op2 = DiscreteOperator(q2)
     rep2 = op2.solve(gvec, tol)
     f1 = internal_data(q1, rep1.u)
     f2 = internal_data(q2, rep2.u)

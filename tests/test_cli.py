@@ -105,6 +105,13 @@ def test_synth_then_diagnose(tmp_path, capsys):
                             "proof_bound_margin"}
 
 
+def test_diagnose_malformed_manifest_is_contract_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{not json")
+    assert main(["diagnose", "--pair", str(manifest)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_synth_manifests_match_sweep_samples(tmp_path, capsys):
     # synth and run_sweep share one cell loop: same config, same pairs
     cfg = tmp_path / "sweep.cfg"

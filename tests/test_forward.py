@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hybridlab.forward
-from hybridlab import Grid, NearSingularError, PriorBounds, ScalarField
+from hybridlab import Grid, NearSingularError, ScalarField
 from hybridlab.fields import boundary_values
 from hybridlab.forward import DiscreteOperator, solve_dirichlet, stencil
 
@@ -126,17 +126,6 @@ def test_matrix_structure_and_symmetry():
     g1 = Grid(nx=9, lx=1.0)
     op1 = DiscreteOperator(ScalarField.constant(g1, 1.0))
     assert np.diff(op1.matrix.indptr).max() <= 3
-
-
-def test_out_of_bounds_coefficient_warns_not_raises():
-    grid = Grid(nx=7, ny=7, lx=1.0, ly=1.0)
-    bounds = PriorBounds(k_bound=2.0, e_bound=10.0, h_bound=0.5, d_margin=0.1)
-    q = ScalarField.constant(grid, 5.0)  # above K = 2
-    with pytest.warns(UserWarning):
-        op = DiscreteOperator(q, bounds=bounds)
-    assert not op.q_in_bounds
-    ok = DiscreteOperator(ScalarField.constant(grid, 1.5), bounds=bounds)
-    assert ok.q_in_bounds
 
 
 # --- solves -----------------------------------------------------------------

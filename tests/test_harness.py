@@ -279,9 +279,9 @@ def test_sweep_constructs_one_operator_per_cell_plus_base(monkeypatch):
     built = []
     real_init = hybridlab.forward.DiscreteOperator.__init__
 
-    def counting_init(self, q, bounds=None):
+    def counting_init(self, q):
         built.append(q)
-        real_init(self, q, bounds)
+        real_init(self, q)
 
     monkeypatch.setattr(hybridlab.forward.DiscreteOperator, "__init__",
                         counting_init)

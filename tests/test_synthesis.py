@@ -171,7 +171,7 @@ def test_pair_reuses_given_base_report():
     q1 = ScalarField.constant(g, 2.0)
     q2 = perturb_coefficient(q1, "bump", 0.1, seed=5, bounds=BOUNDS).field
     own = make_pair(q1, q2, coscos, BOUNDS, seed=5)
-    base = solve_dirichlet(q1, coscos, bounds=BOUNDS)
+    base = solve_dirichlet(q1, coscos)
     shared = make_pair(q1, q2, coscos, BOUNDS, seed=5, report1=base)
     assert shared.report1 is base
     for name in ("u1", "u2", "f1", "f2"):
