@@ -10,7 +10,6 @@ import numpy as np
 
 from hybridlab import (
     Grid,
-    PriorBounds,
     ScalarField,
     internal_data,
     reconstruct,
@@ -22,8 +21,7 @@ from hybridlab.reconstruction import reconstruction_error
 
 
 def main():
-    bounds = PriorBounds(k_bound=4.0, e_bound=50.0, h_bound=0.05,
-                         d_margin=0.125)
+    k_bound = 4.0  # the coefficient bound K
     g = lambda x, y: np.cos(x) * np.cos(y)
 
     print("consistency against data generated by the forward solver:")
@@ -34,7 +32,7 @@ def main():
             grid, lambda x, y: 2.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
         )
         f = internal_data(q, solve_dirichlet(q, g).u)
-        result = reconstruct(f, g, bounds)
+        result = reconstruct(f, g, k_bound)
         err = reconstruction_error(result.q_hat, q, 0.0)
         rel = err.l1 / np.mean(q.values)
         print(f"{nx:3d}x{nx:<3d}  {result.iterations:8d}    {rel:.3e}     "
@@ -46,11 +44,11 @@ def main():
     u = ScalarField.from_function(grid, np.cos)  # vanishes at x = pi/2
     f = internal_data(q, u)
     res = reconstruct_u(f, [1.0, -1.0])
-    q_hat, mask = recover_q(f, res.u_hat, bounds)
+    q_hat, mask = recover_q(f, res.u_hat, k_bound)
     mid = int(np.argmin(np.abs(grid.xs() - np.pi / 2)))
     print(f"\nnodal line case: clamp mask marks {int(mask.sum())} node(s), "
           f"q_hat at the zero = {q_hat.values[0, mid]:.4f} "
-          f"(projection floor 1/K = {1 / bounds.k_bound})")
+          f"(projection floor 1/K = {1 / k_bound})")
 
 
 if __name__ == "__main__":

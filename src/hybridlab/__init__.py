@@ -24,7 +24,6 @@ from .fields import (
     PriorBounds,
     ScalarField,
     ball_mask,
-    boundary_trace,
     boundary_values,
     energy,
     integrate,
@@ -54,7 +53,6 @@ __all__ = [
     "PriorBounds",
     "ScalarField",
     "ball_mask",
-    "boundary_trace",
     "boundary_values",
     "energy",
     "integrate",

@@ -20,7 +20,7 @@ from .diagnostics import (
     write_diagnostics_summary,
 )
 from .errors import ContractViolation, SolverError
-from .fields import PriorBounds, load_field, save_field
+from .fields import load_field, save_field
 from .forward import solve_dirichlet
 from .harness import SweepConfig, emit_report, run_sweep, sweep_pairs
 from .reconstruction import reconstruct, save_result_manifest
@@ -70,10 +70,7 @@ def _cmd_synth(args) -> int:
 def _cmd_reconstruct(args) -> int:
     f = load_field(args.f)
     g = g_from_spec(f.grid, args.g)
-    bounds = PriorBounds(k_bound=args.k, e_bound=1e6, h_bound=1e-6,
-                         d_margin=args.d)
-    result = reconstruct(f, g, bounds, tol=args.tol,
-                         max_iter=args.max_iter)
+    result = reconstruct(f, g, args.k, tol=args.tol, max_iter=args.max_iter)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_field(result.u_hat, out / "u.field")
@@ -168,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="boundary spec")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k", type=float, default=10.0, help="coefficient bound K")
-    p.add_argument("--d", type=float, default=0.1, help="interior margin")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(handler=_cmd_reconstruct)

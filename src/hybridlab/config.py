@@ -156,7 +156,8 @@ def field_from_spec(grid: Grid, spec: str) -> ScalarField:
 
 
 def g_from_spec(grid: Grid, spec: str) -> np.ndarray:
-    """Boundary-value vector (canonical node order) from a spec string."""
+    """Boundary-value vector, in the row-major order of the boundary mask,
+    from a spec string."""
     return boundary_values(grid, field_from_spec(grid, spec))
 
 

@@ -30,6 +30,7 @@ from .errors import ContractViolation, DegenerateBall
 from .fields import (
     Grid,
     ScalarField,
+    as_point,
     ball_mask,
     integrate,
     interior_mask,
@@ -68,7 +69,7 @@ def _sq_ball_integral(u: ScalarField, center, r: float) -> float:
 
 
 def _require_ball_inside(grid: Grid, center, r: float) -> None:
-    cx, cy = (center, 0.0) if np.isscalar(center) else (center[0], center[1] if len(center) > 1 else 0.0)
+    cx, cy = as_point(grid, center)
     ok = 0.0 <= cx - r and cx + r <= grid.lx
     if not grid.is_1d:
         ok = ok and 0.0 <= cy - r and cy + r <= grid.ly

@@ -8,7 +8,9 @@ its Voronoi cell clipped to the rectangle (h^2 interior, h^2/2 on an
 edge, h^2/4 at a corner), and a masked integral sums the weighted values
 of the selected nodes only.  Balls B_r(x) are realized as node sets by
 center-of-node inclusion, which is O(h)-accurate on ball integrals and
-sufficient for ratio diagnostics.
+sufficient for ratio diagnostics.  The boundary nodes are the mask
+~interior_mask(grid, 0), the two endpoints in 1D, and every
+boundary-value vector lists them in row-major order.
 
 Fields are immutable after construction and every operation here is
 pure, so shared read-only fields may be evaluated concurrently.
@@ -34,12 +36,11 @@ __all__ = [
     "Norms",
     "interior_mask",
     "full_mask",
+    "as_point",
     "ball_mask",
     "integrate",
     "mask_measure",
     "norms",
-    "boundary_nodes",
-    "boundary_trace",
     "boundary_values",
     "boundary_field",
     "energy",
@@ -215,12 +216,13 @@ def ball_mask(grid: Grid, center, r: float) -> np.ndarray:
     """Nodes with |node - center| < r (open ball, center-of-node inclusion)."""
     if r <= 0:
         raise ContractViolation(f"ball radius must be positive, got {r}")
-    cx, cy = _as_point(grid, center)
+    cx, cy = as_point(grid, center)
     X, Y = grid.meshgrid()
     return (X - cx) ** 2 + (Y - cy) ** 2 < r * r
 
 
-def _as_point(grid: Grid, center) -> tuple[float, float]:
+def as_point(grid: Grid, center) -> tuple[float, float]:
+    """(x, y) from a scalar or a 1- or 2-coordinate point; y = 0 in 1D."""
     if np.isscalar(center):
         return float(center), 0.0
     c = tuple(float(v) for v in center)
@@ -286,66 +288,38 @@ def norms(f: ScalarField, mask: np.ndarray | None = None) -> Norms:
     return Norms(l1, l2, linf)
 
 
-def boundary_nodes(grid: Grid) -> np.ndarray:
-    """Index pairs (i, j) of boundary nodes in row-major scan order.
-
-    In 1D this is the two endpoints.  The order is deterministic and is
-    the order used for boundary-value vectors throughout the package.
-    """
-    if grid.is_1d:
-        return np.array([[0, 0], [grid.nx - 1, 0]])
-    ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny))
-    on_edge = (
-        (ii == 0) | (ii == grid.nx - 1) | (jj == 0) | (jj == grid.ny - 1)
-    )
-    return np.column_stack([ii[on_edge], jj[on_edge]])
-
-
-def boundary_trace(f: ScalarField):
-    """Ordered boundary samples as (nodes, values).
-
-    nodes is an (n, 2) array of (i, j) indices in the canonical order of
-    boundary_nodes; values the matching field samples.  The max of
-    |values| realizes the boundary sup norm.
-    """
-    nodes = boundary_nodes(f.grid)
-    values = f.values[nodes[:, 1], nodes[:, 0]]
-    return nodes, values
-
-
 def boundary_values(grid: Grid, g) -> np.ndarray:
-    """Build a boundary-value vector in canonical node order.
+    """Build a boundary-value vector: g at the nodes of the mask
+    ~interior_mask(grid, 0), in row-major order.
 
     g may be a scalar, a callable g(x, y) (g(x) in 1D), an array already
-    in canonical order, or a ScalarField whose trace is taken.
+    in that order, or a ScalarField whose trace is taken.
     """
-    nodes = boundary_nodes(grid)
+    mask = ~interior_mask(grid, 0.0)
     if isinstance(g, ScalarField):
         if g.grid != grid:
             raise ContractViolation("boundary source field lives on another grid")
-        return g.values[nodes[:, 1], nodes[:, 0]].copy()
+        return g.values[mask]
     if callable(g):
-        x = nodes[:, 0] * grid.h
+        j, i = np.nonzero(mask)
         if grid.is_1d:
-            return np.asarray(g(x), dtype=float)
-        y = nodes[:, 1] * grid.h
-        return np.asarray(g(x, y), dtype=float)
+            return np.asarray(g(i * grid.h), dtype=float)
+        return np.asarray(g(i * grid.h, j * grid.h), dtype=float)
+    n = int(np.count_nonzero(mask))
     if np.isscalar(g):
-        return np.full(len(nodes), float(g))
+        return np.full(n, float(g))
     arr = np.asarray(g, dtype=float)
-    if arr.shape != (len(nodes),):
+    if arr.shape != (n,):
         raise ContractViolation(
-            f"boundary vector has {arr.size} entries, expected {len(nodes)}"
+            f"boundary vector has {arr.size} entries, expected {n}"
         )
     return arr.copy()
 
 
 def boundary_field(grid: Grid, g) -> np.ndarray:
     """Full-grid array holding g on the boundary and zeros inside."""
-    gvec = boundary_values(grid, g)
-    nodes = boundary_nodes(grid)
     out = np.zeros(grid.shape)
-    out[nodes[:, 1], nodes[:, 0]] = gvec
+    out[~interior_mask(grid, 0.0)] = boundary_values(grid, g)
     return out
 
 

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ContractViolation, NearSingularError, SolverFailure
-from .fields import ScalarField, boundary_field
+from .fields import ScalarField, boundary_field, interior_mask
 
 __all__ = [
     "DiscreteOperator",
@@ -95,9 +95,8 @@ class DiscreteOperator:
         self.q = q
         self.h = grid.h
 
-        inner = grid.boundary_distance() > 0
-        self.interior = inner
-        self.n = int(inner.sum())
+        self.interior = interior_mask(grid, 0.0)
+        self.n = int(self.interior.sum())
 
         # each arm couples an interior unknown (row) to its neighbour
         # (column) in the E, W, N, S order of the stencil
@@ -110,7 +109,7 @@ class DiscreteOperator:
         rows = np.concatenate([idx.ravel()] + [r.ravel() for r, _ in arms])
         cols = np.concatenate([idx.ravel()] + [c.ravel() for _, c in arms])
         vals = np.full(rows.size, 1.0 / h2)
-        vals[:self.n] = -len(arms) / h2 + q.values[inner]
+        vals[:self.n] = -len(arms) / h2 + q.values[self.interior]
         self.matrix = sp.csr_array((vals, (rows, cols)),
                                    shape=(self.n, self.n))
 

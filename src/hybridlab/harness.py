@@ -350,7 +350,7 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
         flags["failed"] = False
         try:
             recon = reconstruct(
-                pair.f2, g, config.bounds,
+                pair.f2, g, config.bounds.k_bound,
                 tol=config.recon_tol, max_iter=config.recon_max_iter,
                 tau=config.recon_tau, solver_tol=config.solver_tol,
             )

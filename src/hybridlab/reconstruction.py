@@ -40,10 +40,8 @@ from .errors import ContractViolation, SolverFailure
 from .forward import stencil
 from .fields import (
     Grid,
-    PriorBounds,
     ScalarField,
     boundary_field,
-    boundary_values,
     interior_mask,
     norms,
     Norms,
@@ -181,8 +179,8 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
             "F = q u^2 must be nonnegative"
         )
     fvals = np.maximum(fvals, 0.0)
-    gvec = boundary_values(grid, g)
-    g_linf = float(np.max(np.abs(gvec)))
+    gfull = boundary_field(grid, g)
+    g_linf = float(np.max(np.abs(gfull)))
     if g_linf == 0.0 and fvals.max() > 0.0:
         raise ContractViolation(
             "boundary data identically zero with nontrivial F: the "
@@ -194,7 +192,6 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
 
     lap = DirichletLaplacian(grid)
-    gfull = boundary_field(grid, gvec)
     u = lap.solve(gfull, tol=solver_tol)
     positive = fvals > 0.0
     sign_change = False
@@ -224,18 +221,20 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
     )
 
 
-def recover_q(f: ScalarField, u_hat: ScalarField, bounds: PriorBounds,
+def recover_q(f: ScalarField, u_hat: ScalarField, k_bound: float,
               tau: float = 0.0):
     """Algebraic recovery q = F / max(u^2, tau^2), projected onto
-    [1/K, K]; returns (q_hat, mask) with the mask marking every node
-    where the clamp or the projection fired."""
+    [1/K, K] with K = k_bound; returns (q_hat, mask) with the mask
+    marking every node where the clamp or the projection fired."""
     if f.grid != u_hat.grid:
         raise ContractViolation("F and u_hat live on different grids")
+    if k_bound < 1:
+        raise ContractViolation(f"K must be >= 1, got {k_bound}")
     if tau <= 0.0:
         tau = _auto_tau(float(np.max(np.abs(u_hat.values))))
     clamped = np.maximum(u_hat.values**2, tau**2)
     raw = f.values / clamped
-    lo, hi = 1.0 / bounds.k_bound, bounds.k_bound
+    lo, hi = 1.0 / k_bound, k_bound
     projected = np.clip(raw, lo, hi)
     mask = (u_hat.values**2 < tau**2) | (projected != raw)
     return ScalarField(f.grid, projected), mask
@@ -251,13 +250,13 @@ def reconstruction_error(q_hat: ScalarField, q_true: ScalarField,
     return norms(diff, interior_mask(q_hat.grid, d))
 
 
-def reconstruct(f: ScalarField, g, bounds: PriorBounds, *,
+def reconstruct(f: ScalarField, g, k_bound: float, *,
                 tol: float = 1e-8, max_iter: int = 200, tau: float = 0.0,
                 solver_tol: float = 1e-9) -> ReconstructionResult:
     """Full pipeline: reconstruct u, then recover and attach q_hat."""
     res = reconstruct_u(f, g, tol=tol, max_iter=max_iter, tau=tau,
                         solver_tol=solver_tol)
-    q_hat, mask = recover_q(f, res.u_hat, bounds, tau)
+    q_hat, mask = recover_q(f, res.u_hat, k_bound, tau)
     return replace(res, q_hat=q_hat, clamp_mask=mask)
 
 

@@ -33,7 +33,7 @@ from .fields import (
     Grid,
     PriorBounds,
     ScalarField,
-    boundary_trace,
+    as_point,
     boundary_values,
     energy,
     integrate,
@@ -91,7 +91,7 @@ def _draw_profile(grid: Grid, mode: str, rng, center, width):
             cy = 0.0 if grid.is_1d else float(rng.uniform(0.3, 0.7)) * grid.ly
             center = (cx, cy)
         else:
-            center = (center, 0.0) if np.isscalar(center) else tuple(center)
+            center = as_point(grid, center)
         if width is None:
             width = float(rng.uniform(0.1, 0.2)) * min(grid.lx, ly)
         return _bump_profile(grid, center, width), center, float(width)
@@ -246,8 +246,8 @@ def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
         rep2 = op2.solve(g2, tol)
         f2 = internal_data(q2, rep2.u)
         eps = float(np.max(np.abs(f1.values - f2.values)))
-    _, tr1 = boundary_trace(rep1.u)
-    _, tr2 = boundary_trace(rep2.u)
+    tr1 = boundary_values(q1.grid, rep1.u)
+    tr2 = boundary_values(q1.grid, rep2.u)
     gap = float(np.max(np.abs(np.abs(tr1) - np.abs(tr2))))
     flags = _check_bounds_flags([(q1, rep1.u), (q2, rep2.u)], bounds)
     flags["hypothesis_ok"] = bool(gap <= np.sqrt(bounds.k_bound * eps) + 1e-15)
@@ -288,22 +288,29 @@ def load_pair(path) -> ExperimentPair:
     if path.is_dir():
         path = path / "manifest.json"
     with open(path) as fh:
-        m = json.load(fh)
+        try:
+            m = json.load(fh)
+            stored_eps = float(m["epsilon"])
+            bounds = PriorBounds(k_bound=m["k"], e_bound=m["e"],
+                                 h_bound=m["h"], d_margin=m["d"])
+            record = dict(bdry_gap=float(m["bdry_gap"]), seed=int(m["seed"]),
+                          mode=str(m["mode"]), amplitude=float(m["amplitude"]),
+                          flags=dict(m["flags"]))
+        except KeyError as exc:
+            raise ContractViolation(f"{path}: manifest lacks key {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ContractViolation(f"{path}: malformed manifest: {exc}") from None
     directory = path.parent
     fields = {name: load_field(directory / f"{name}.field")
               for name in ("q1", "q2", "u1", "u2")}
     f1 = internal_data(fields["q1"], fields["u1"])
     f2 = internal_data(fields["q2"], fields["u2"])
     eps = float(np.max(np.abs(f1.values - f2.values)))
-    if abs(eps - m["epsilon"]) > 1e-12 * max(1.0, eps):
+    if abs(eps - stored_eps) > 1e-12 * max(1.0, eps):
         raise ContractViolation(
-            f"manifest epsilon {m['epsilon']} disagrees with fields ({eps})"
+            f"manifest epsilon {stored_eps} disagrees with fields ({eps})"
         )
-    bounds = PriorBounds(k_bound=m["k"], e_bound=m["e"],
-                         h_bound=m["h"], d_margin=m["d"])
     return ExperimentPair(
         q1=fields["q1"], q2=fields["q2"], u1=fields["u1"], u2=fields["u2"],
-        f1=f1, f2=f2, epsilon=eps, bdry_gap=float(m["bdry_gap"]),
-        bounds=bounds, seed=int(m["seed"]), mode=str(m["mode"]),
-        amplitude=float(m["amplitude"]), flags=dict(m["flags"]),
+        f1=f1, f2=f2, epsilon=eps, bounds=bounds, **record,
     )

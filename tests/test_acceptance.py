@@ -125,11 +125,9 @@ def test_4_reconstruction_consistency():
     t0 = time.perf_counter()
     grid = Grid(nx=65, ny=65, lx=1.0, ly=1.0)
     q = ScalarField.constant(grid, 2.0)
-    bounds = PriorBounds(k_bound=4.0, e_bound=50.0, h_bound=0.05,
-                         d_margin=0.125)
     report = solve_dirichlet(q, lambda x, y: np.cos(x) * np.cos(y))
     f = internal_data(q, report.u)
-    result = reconstruct(f, lambda x, y: np.cos(x) * np.cos(y), bounds)
+    result = reconstruct(f, lambda x, y: np.cos(x) * np.cos(y), 4.0)
     err = reconstruction_error(result.q_hat, q, 0.0).l1
     rel = err / integrate(q)
     elapsed = time.perf_counter() - t0

@@ -112,6 +112,26 @@ def test_diagnose_malformed_manifest_is_contract_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_diagnose_unparsable_manifest_names_the_file(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{not json")
+    assert main(["diagnose", "--pair", str(tmp_path)]) == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
+def test_diagnose_manifest_without_keys_names_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "pairs"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "pair_a0.02_s0" / "manifest.json"
+    manifest.write_text("{}")
+    capsys.readouterr()
+    assert main(["diagnose", "--pair", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'epsilon'" in err
+
+
 def test_synth_manifests_match_sweep_samples(tmp_path, capsys):
     # synth and run_sweep share one cell loop: same config, same pairs
     cfg = tmp_path / "sweep.cfg"

@@ -13,7 +13,6 @@ from hybridlab import (
     PriorBounds,
     ScalarField,
     ball_mask,
-    boundary_trace,
     boundary_values,
     energy,
     integrate,
@@ -22,7 +21,7 @@ from hybridlab import (
     norms,
     save_field,
 )
-from hybridlab.fields import boundary_nodes, full_mask, mask_measure
+from hybridlab.fields import boundary_field, full_mask, mask_measure
 
 
 # --- grid construction ------------------------------------------------------
@@ -219,24 +218,44 @@ def test_norms_order_l1_l2_linf():
 # --- boundary ---------------------------------------------------------------
 
 def test_boundary_nodes_count_and_order():
+    # boundary vectors list the nodes of ~interior_mask(grid, 0) in
+    # row-major order: the first is the origin, the last the far corner
     g = Grid(nx=5, ny=4, lx=1.0, ly=0.75)
-    nodes = boundary_nodes(g)
-    assert len(nodes) == 2 * 5 + 2 * 4 - 4
-    # row-major scan: first node is the origin, last the far corner
-    assert nodes[0].tolist() == [0, 0]
-    assert nodes[-1].tolist() == [4, 3]
+    X, Y = g.meshgrid()
+    xs = boundary_values(g, ScalarField(g, X))
+    ys = boundary_values(g, ScalarField(g, Y))
+    assert len(xs) == len(ys) == 2 * 5 + 2 * 4 - 4
+    assert (xs[0], ys[0]) == (0.0, 0.0)
+    assert (xs[-1], ys[-1]) == (1.0, 0.75)
 
     g1 = Grid(nx=7, lx=1.0)
-    assert boundary_nodes(g1).tolist() == [[0, 0], [6, 0]]
+    X1, Y1 = g1.meshgrid()
+    assert boundary_values(g1, ScalarField(g1, X1)).tolist() == [0.0, 1.0]
+    assert boundary_values(g1, ScalarField(g1, Y1)).tolist() == [0.0, 0.0]
 
 
 def test_boundary_trace_min_of_coscos():
     g = Grid(nx=41, ny=41, lx=1.0, ly=1.0)
     f = ScalarField.from_function(g, lambda x, y: np.cos(x) * np.cos(y))
-    nodes, vals = boundary_trace(f)
+    vals = boundary_values(g, f)
     # minimum over the boundary sits at the far corner: cos(1)^2
     assert vals.min() == pytest.approx(np.cos(1.0) ** 2, abs=1e-12)
     assert vals.max() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(nx=9, ny=9, lx=1.0, ly=1.0),
+    Grid(nx=9, ny=5, lx=1.0, ly=0.5),
+    Grid(nx=9, lx=1.0),
+], ids=["square", "rectangle", "1d"])
+def test_boundary_field_round_trip(grid):
+    # scattering the boundary vector back gives f on the boundary, 0 inside
+    rng = np.random.default_rng(5)
+    f = ScalarField(grid, rng.uniform(1.0, 2.0, size=grid.shape))
+    full = boundary_field(grid, boundary_values(grid, f))
+    inner = interior_mask(grid, 0.0)
+    np.testing.assert_array_equal(full[~inner], f.values[~inner])
+    np.testing.assert_array_equal(full[inner], 0.0)
 
 
 def test_boundary_values_forms_agree():
@@ -320,6 +339,18 @@ def test_report_writers_live_only_in_fields():
         ]
         assert len(hits) == 1 and hits[0].startswith("fields.py:"), (
             pattern, hits)
+
+
+def test_boundary_distance_lives_only_in_fields():
+    # ~interior_mask(grid, 0) is the one definition of the boundary nodes
+    src = Path(hybridlab.__file__).parent
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "boundary_distance(" in line and path.name != "fields.py"
+    ]
+    assert hits == []
 
 
 def test_full_mask_covers_grid():

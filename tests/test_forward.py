@@ -72,9 +72,10 @@ def test_dense_assembly_oracle(grid, g):
 
 
 def op_boundary_nodes(grid):
-    from hybridlab.fields import boundary_nodes
+    from hybridlab.fields import interior_mask
 
-    return boundary_nodes(grid)
+    j, i = np.nonzero(~interior_mask(grid, 0.0))
+    return zip(i, j)
 
 
 @pytest.mark.parametrize("grid", [

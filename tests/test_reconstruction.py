@@ -4,7 +4,7 @@ handling, sign invariance, error reporting."""
 import numpy as np
 import pytest
 
-from hybridlab import ContractViolation, Grid, PriorBounds, ScalarField
+from hybridlab import ContractViolation, Grid, ScalarField
 from hybridlab.config import field_from_spec, g_from_spec
 from hybridlab.errors import SolverFailure
 from hybridlab.fields import boundary_field
@@ -19,7 +19,7 @@ from hybridlab.reconstruction import (
 )
 from hybridlab.synthesis import internal_data
 
-BOUNDS = PriorBounds(k_bound=4.0, e_bound=10.0, h_bound=0.2, d_margin=0.1)
+K = 4.0
 SOLVER_TOL = 1e-9  # the residual contract of every solve (solver.tol)
 
 
@@ -134,8 +134,7 @@ def test_1d_large_grid_converges_to_true_coefficient():
     q = ScalarField.constant(grid, 2.0)
     g = g_from_spec(grid, "coscos")
     f = internal_data(q, solve_dirichlet(q, g).u)
-    res = reconstruct(f, g, PriorBounds(k_bound=4.0, e_bound=50.0,
-                                        h_bound=0.05, d_margin=0.125))
+    res = reconstruct(f, g, 4.0)
     assert res.converged
     assert reconstruction_error(res.q_hat, q, 0.125).l1 <= 1e-6
 
@@ -170,8 +169,8 @@ def test_nonconvergence_is_flagged_not_raised():
 def test_sign_invariance():
     grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
     f = ScalarField.from_function(grid, coscos_sq)
-    pos = reconstruct(f, coscos, BOUNDS)
-    neg = reconstruct(f, lambda x, y: -coscos(x, y), BOUNDS)
+    pos = reconstruct(f, coscos, K)
+    neg = reconstruct(f, lambda x, y: -coscos(x, y), K)
     np.testing.assert_array_equal(neg.u_hat.values, -pos.u_hat.values)
     np.testing.assert_array_equal(neg.q_hat.values, pos.q_hat.values)
 
@@ -184,7 +183,7 @@ def test_recover_q_algebraic_identity():
     q = ScalarField(grid, rng.uniform(1.0, 2.0, grid.shape))
     u = ScalarField.from_function(grid, coscos)  # |u| >= cos(1)^2 > tau
     f = internal_data(q, u)
-    q_hat, mask = recover_q(f, u, BOUNDS, tau=1e-8)
+    q_hat, mask = recover_q(f, u, K, tau=1e-8)
     np.testing.assert_allclose(q_hat.values, q.values, rtol=1e-12)
     assert not mask.any()
 
@@ -196,8 +195,7 @@ def test_recover_q_nodal_line_projects_to_floor():
     u = ScalarField(grid, np.cos(5.0 * x)[None, :])
     q = ScalarField.constant(grid, 25.0)
     f = internal_data(q, u)
-    wide = PriorBounds(k_bound=30.0, e_bound=50.0, h_bound=0.5, d_margin=0.1)
-    q_hat, mask = recover_q(f, u, wide, tau=1e-6)
+    q_hat, mask = recover_q(f, u, 30.0, tau=1e-6)
     zero_nodes = np.abs(u.values) < 1e-12
     assert zero_nodes.any()
     assert mask[zero_nodes].all()
@@ -209,8 +207,8 @@ def test_recover_q_nodal_line_projects_to_floor():
 
 def test_zero_measurement_recovers_prior_floor_with_full_mask():
     grid = Grid(nx=13, ny=13, lx=1.0, ly=1.0)
-    res = reconstruct(ScalarField.constant(grid, 0.0), coscos, BOUNDS)
-    np.testing.assert_allclose(res.q_hat.values, 1.0 / BOUNDS.k_bound)
+    res = reconstruct(ScalarField.constant(grid, 0.0), coscos, K)
+    np.testing.assert_allclose(res.q_hat.values, 1.0 / K)
     assert res.clamp_mask.all()
 
 
@@ -219,10 +217,13 @@ def test_recover_q_always_inside_prior_interval():
     rng = np.random.default_rng(3)
     u = ScalarField(grid, rng.normal(size=grid.shape))
     f = ScalarField(grid, np.abs(rng.normal(size=grid.shape)) * 50.0)
-    q_hat, mask = recover_q(f, u, BOUNDS)
-    assert q_hat.values.min() >= 1.0 / BOUNDS.k_bound
-    assert q_hat.values.max() <= BOUNDS.k_bound
+    q_hat, mask = recover_q(f, u, K)
+    assert q_hat.values.min() >= 1.0 / K
+    assert q_hat.values.max() <= K
     assert mask.any()
+    # [1/K, K] is an interval only for K >= 1
+    with pytest.raises(ContractViolation, match="K must be >= 1"):
+        recover_q(f, u, 0.5)
 
 
 # --- end-to-end and error reporting ----------------------------------------
@@ -230,7 +231,7 @@ def test_recover_q_always_inside_prior_interval():
 def test_end_to_end_manufactured_accuracy():
     grid = Grid(nx=65, ny=65, lx=1.0, ly=1.0)
     f = ScalarField.from_function(grid, coscos_sq)
-    res = reconstruct(f, coscos, BOUNDS)
+    res = reconstruct(f, coscos, K)
     err = reconstruction_error(res.q_hat, ScalarField.constant(grid, 2.0), 0.05)
     assert err.l1 / 2.0 <= 1e-3  # relative interior L1 error
     assert not err.empty
@@ -252,7 +253,7 @@ def test_error_decreases_under_refinement():
     for nx in (17, 33, 65):
         grid = Grid(nx=nx, ny=nx, lx=1.0, ly=1.0)
         f = ScalarField.from_function(grid, coscos_sq)
-        res = reconstruct(f, coscos, BOUNDS)
+        res = reconstruct(f, coscos, K)
         l1s.append(reconstruction_error(
             res.q_hat, ScalarField.constant(grid, 2.0), 0.05).l1)
     assert l1s[0] > l1s[1] > l1s[2]
@@ -261,7 +262,7 @@ def test_error_decreases_under_refinement():
 def test_result_manifest(tmp_path):
     grid = Grid(nx=13, ny=13, lx=1.0, ly=1.0)
     f = ScalarField.from_function(grid, coscos_sq)
-    res = reconstruct(f, coscos, BOUNDS)
+    res = reconstruct(f, coscos, K)
     path = save_result_manifest(res, tmp_path / "result.json")
     import json
 
