@@ -42,15 +42,18 @@ def _cmd_forward(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _sweep_config(args) -> tuple[SweepConfig, Path]:
+    """The sweep config and its output directory, --out else sweep.out."""
     cfg = SweepConfig.from_config(parse_config(args.config))
-    out = Path(args.out) if args.out else (
-        Path(cfg.out_dir) if cfg.out_dir else None
-    )
-    if out is None:
-        raise ContractViolation(
-            "synth needs an output directory: set sweep.out or pass --out"
-        )
+    out = args.out or cfg.out_dir
+    if not out:
+        raise ContractViolation(f"{args.command} needs an output directory: "
+                                "set sweep.out or pass --out")
+    return cfg, Path(out)
+
+
+def _cmd_synth(args) -> int:
+    cfg, out = _sweep_config(args)
     tags = [format(a, "g") for a in cfg.amplitudes]
     if len(set(tags)) < len(tags):
         raise ContractViolation(
@@ -115,12 +118,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_config(parse_config(args.config))
-    out = args.out or cfg.out_dir
-    if out is None:
-        raise ContractViolation(
-            "sweep needs an output directory: set sweep.out or pass --out"
-        )
+    cfg, out = _sweep_config(args)
     report = run_sweep(cfg)
     files = emit_report(report, out)
     if report.fit is None:

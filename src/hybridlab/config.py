@@ -2,7 +2,8 @@
 
 Config files are plain text: one `key = value` per line, `#` comments,
 blank lines ignored.  Every key is namespaced (solver.*, recon.*,
-sweep.*) and unknown namespaces are rejected so typos fail loud.
+sweep.*) and unknown namespaces are rejected so typos fail loud.  The
+sweep settings are read in one place, harness.SweepConfig.from_config.
 
 Field and boundary data are described by small spec strings usable both
 in configs and on the command line:
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation
-from .fields import Grid, PriorBounds, ScalarField, boundary_values, load_field
+from .fields import Grid, ScalarField, boundary_values, load_field
 
 __all__ = [
     "DEFAULTS",
@@ -30,8 +31,6 @@ __all__ = [
     "get_float_list",
     "field_from_spec",
     "g_from_spec",
-    "grid_from_config",
-    "bounds_from_config",
 ]
 
 DEFAULTS = {
@@ -66,42 +65,35 @@ def parse_config(path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str) -> str:
-    if key not in cfg:
-        raise ContractViolation(f"missing config key {key!r}")
-    return cfg[key]
+def _read(cfg: dict, key: str, parse, default=None):
+    """parse(cfg[key]), or default when absent.  A missing key without a
+    default, a value that does not parse or a non-finite float raises
+    ContractViolation naming the key."""
+    raw = cfg.get(key)
+    if raw is None:
+        if default is None:
+            raise ContractViolation(f"missing config key {key!r}")
+        return default
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ContractViolation(f"config key {key} = {raw!r}: {exc}") from exc
+    if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
+        raise ContractViolation(f"config key {key} = {raw!r} is not finite")
+    return value
 
 
 def get_float(cfg: dict, key: str, default: float | None = None) -> float:
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
-            raise ContractViolation(f"missing config key {key!r}")
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ContractViolation(f"config key {key} = {raw!r} is not a number") from exc
+    return _read(cfg, key, float, default)
 
 
 def get_int(cfg: dict, key: str, default: int | None = None) -> int:
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
-            raise ContractViolation(f"missing config key {key!r}")
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ContractViolation(f"config key {key} = {raw!r} is not an integer") from exc
+    return _read(cfg, key, int, default)
 
 
 def get_float_list(cfg: dict, key: str) -> list[float]:
-    raw = _require(cfg, key)
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ContractViolation(f"config key {key} = {raw!r} is not a number list") from exc
+    return _read(cfg, key, lambda raw: [
+        float(part) for part in raw.split(",") if part.strip()])
 
 
 _EXPR_NAMES = {
@@ -159,24 +151,3 @@ def g_from_spec(grid: Grid, spec: str) -> np.ndarray:
     """Boundary-value vector, in the row-major order of the boundary mask,
     from a spec string."""
     return boundary_values(grid, field_from_spec(grid, spec))
-
-
-def grid_from_config(cfg: dict) -> Grid:
-    nx = get_int(cfg, "sweep.nx")
-    ny = get_int(cfg, "sweep.ny", nx)
-    lx = get_float(cfg, "sweep.lx", 1.0)
-    ly = get_float(cfg, "sweep.ly", 0.0 if ny == 1 else lx)
-    return Grid(nx=nx, ny=ny, lx=lx, ly=ly)
-
-
-def bounds_from_config(cfg: dict) -> PriorBounds:
-    # sweep.d may be a comma list of margins; the first one is primary.
-    d_vals = get_float_list(cfg, "sweep.d")
-    if not d_vals:
-        raise ContractViolation("config key sweep.d must list at least one margin")
-    return PriorBounds(
-        k_bound=get_float(cfg, "sweep.k"),
-        e_bound=get_float(cfg, "sweep.e"),
-        h_bound=get_float(cfg, "sweep.h"),
-        d_margin=d_vals[0],
-    )

@@ -207,7 +207,7 @@ def interior_mask(grid: Grid, d: float) -> np.ndarray:
     yields an empty mask, which is a valid (flagged-empty) result rather
     than an error.
     """
-    if d < 0:
+    if not d >= 0:  # refuses NaN too
         raise ContractViolation(f"interior margin d must be >= 0, got {d}")
     return grid.boundary_distance() > d
 
@@ -389,16 +389,18 @@ def save_field(f: ScalarField, path) -> None:
 
 
 def load_field(path) -> ScalarField:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != "FIELD" or header[1] != "v1":
-            raise ContractViolation(f"{path}: not a FIELD v1 file")
-        nx, ny = int(header[2]), int(header[3])
-        lx, ly = float(header[4]), float(header[5])
-        vals = np.loadtxt(fh, dtype=float, ndmin=1)
-    grid = Grid(nx=nx, ny=ny, lx=lx, ly=ly)
-    if vals.size != grid.n_nodes:
-        raise ContractViolation(
-            f"{path}: {vals.size} values for a {nx}x{ny} grid"
-        )
-    return ScalarField(grid, vals)
+    """Read a field file; a malformed one raises ContractViolation naming it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 6 or header[0] != "FIELD" or header[1] != "v1":
+                raise ContractViolation("not a FIELD v1 file")
+            nx, ny = int(header[2]), int(header[3])
+            lx, ly = float(header[4]), float(header[5])
+            vals = np.loadtxt(fh, dtype=float, ndmin=1)
+        grid = Grid(nx=nx, ny=ny, lx=lx, ly=ly)
+        if vals.size != grid.n_nodes:
+            raise ContractViolation(f"{vals.size} values for a {nx}x{ny} grid")
+        return ScalarField(grid, vals)
+    except ValueError as exc:  # ContractViolation included
+        raise ContractViolation(f"{path}: {exc}") from None

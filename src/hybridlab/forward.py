@@ -116,7 +116,11 @@ class DiscreteOperator:
     def load_vector(self, g, source: ScalarField | None = None) -> np.ndarray:
         """Right-hand side for boundary data g and optional volume source s,
         the source entering as  laplacian(u) + q u = s."""
-        b = -stencil(boundary_field(self.grid, g), self.h).ravel()
+        return self._load(boundary_field(self.grid, g), source)
+
+    def _load(self, full: np.ndarray, source: ScalarField | None) -> np.ndarray:
+        """load_vector from the boundary field (zero inside)."""
+        b = -stencil(full, self.h).ravel()
         if source is not None:
             if source.grid != self.grid:
                 raise ContractViolation("source lives on another grid")
@@ -172,7 +176,8 @@ class DiscreteOperator:
         """
         if tol <= 0:
             raise ContractViolation(f"tol must be positive, got {tol}")
-        b = self.load_vector(g, source)
+        full = boundary_field(self.grid, g)
+        b = self._load(full, source)
         # a singular factor or a non-finite solution hands back the zero
         # iterate, which the residual contract routes to the gap check
         x = self._lu.solve(b) if self._lu is not None else np.zeros(self.n)
@@ -183,7 +188,6 @@ class DiscreteOperator:
         threshold = 1e-6 * (float(np.max(np.abs(self.q.values)))
                             + (2.0 if self.grid.is_1d else 4.0) / self.h**2)
         ok = res <= tol * float(np.max(np.abs(b), initial=0.0))
-        full = boundary_field(self.grid, g)
         full[self.interior] = x
         report = SolveReport(
             u=ScalarField(self.grid, full),

@@ -20,19 +20,18 @@ tests assert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
-    bounds_from_config,
+    _read,
     field_from_spec,
     g_from_spec,
     get_float,
     get_float_list,
     get_int,
-    grid_from_config,
 )
 from .diagnostics import (
     DiagnosticsReport,
@@ -43,6 +42,7 @@ from .errors import ContractViolation, SolverError, UnderdeterminedFit
 from .fields import (
     Grid,
     PriorBounds,
+    interior_mask,
     write_csv,
     write_json,
     write_text,
@@ -85,34 +85,48 @@ class SweepConfig:
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # written as `not x >= 0` so that NaN is refused too
         if len(self.amplitudes) == 0:
             raise ContractViolation("amplitude list must be nonempty")
         # amplitude 0 is allowed as an explicit degenerate control
-        if any(a < 0 for a in self.amplitudes):
+        if not all(a >= 0 for a in self.amplitudes):
             raise ContractViolation("amplitudes must be nonnegative")
-        if self.seeds < 1:
+        if not self.seeds >= 1:
             raise ContractViolation("seeds per amplitude must be >= 1")
         if len(self.d_list) == 0:
             raise ContractViolation("d list must be nonempty")
-        if any(d < 0 for d in self.d_list):
-            raise ContractViolation("interior margins must be nonnegative")
+        for d in self.d_list:  # interior_mask refuses d < 0 and NaN
+            if not interior_mask(self.grid, d).any():
+                raise ContractViolation(f"interior margin d = {d:g} leaves no interior node")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepConfig":
-        grid = grid_from_config(cfg)
-        if "sweep.q" not in cfg:
-            raise ContractViolation("missing config key 'sweep.q'")
-        if "sweep.g" not in cfg:
-            raise ContractViolation("missing config key 'sweep.g'")
+        # the fallbacks serve mappings built without config.DEFAULTS
+        nx = get_int(cfg, "sweep.nx")
+        ny = get_int(cfg, "sweep.ny", nx)
+        lx = get_float(cfg, "sweep.lx", 1.0)
+        grid = Grid(nx=nx, ny=ny, lx=lx,
+                    ly=get_float(cfg, "sweep.ly", 0.0 if ny == 1 else lx))
+        q_spec = _read(cfg, "sweep.q", str)
+        g_spec = _read(cfg, "sweep.g", str)
+        # sweep.d may be a comma list of margins; the first one is primary.
+        d_list = tuple(get_float_list(cfg, "sweep.d"))
+        if not d_list:
+            raise ContractViolation("config key sweep.d must list at least one margin")
         return cls(
             grid=grid,
-            q_spec=cfg["sweep.q"],
-            g_spec=cfg["sweep.g"],
+            q_spec=q_spec,
+            g_spec=g_spec,
             mode=cfg.get("sweep.mode", "bump"),
             amplitudes=tuple(get_float_list(cfg, "sweep.amplitudes")),
             seeds=get_int(cfg, "sweep.seeds", 1),
-            bounds=bounds_from_config(cfg),
-            d_list=tuple(get_float_list(cfg, "sweep.d")),
+            bounds=PriorBounds(
+                k_bound=get_float(cfg, "sweep.k"),
+                e_bound=get_float(cfg, "sweep.e"),
+                h_bound=get_float(cfg, "sweep.h"),
+                d_margin=d_list[0],
+            ),
+            d_list=d_list,
             out_dir=cfg.get("sweep.out"),
             seed0=get_int(cfg, "sweep.seed0", 0),
             jitter=get_float(cfg, "sweep.jitter", 0.0),
@@ -411,17 +425,7 @@ def _d_tag(d: float) -> str:
 
 
 def _fit_payload(fit: HolderFit | None):
-    if fit is None:
-        return None
-    return {
-        "c_hat": fit.c_hat,
-        "eta_hat": fit.eta_hat,
-        "residual_rms": fit.residual_rms,
-        "eta_ci": [fit.eta_ci[0], fit.eta_ci[1]],
-        "n_used": fit.n_used,
-        "n_excluded": fit.n_excluded,
-        "underdetermined": fit.underdetermined,
-    }
+    return None if fit is None else asdict(fit)
 
 
 def emit_report(report: StabilityReport, out_dir) -> dict:

@@ -183,6 +183,50 @@ def test_synth_requires_output_directory(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("sweep.d", "nan", "sweep.d"),
+    ("sweep.d", "0.6", "d = 0.6"),  # beyond the unit square's inradius 0.5
+    ("sweep.e", "nan", "sweep.e"),
+    ("sweep.k", "nan", "sweep.k"),
+    ("solver.tol", "nan", "solver.tol"),
+    ("sweep.amplitudes", "nan,0.1", "sweep.amplitudes"),
+])
+def test_sweep_refuses_non_finite_setting_or_empty_margin(
+        tmp_path, capsys, key, value, named):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + f"{key} = {value}\n")
+    out = tmp_path / "report"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_empty_sweep_out_needs_output_directory(tmp_path, monkeypatch, capsys,
+                                                command):
+    # an empty sweep.out counts as unset, not as the current directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + "sweep.out =\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{command} needs an output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+@pytest.mark.parametrize("text", [
+    "FIELD v1 x 3 1 1\n",                    # header count is not an integer
+    "FIELD v1 1 3 1 1\n" + "1\n" * 3,        # nx = 1 is not a grid
+    "FIELD v1 3 1 1 0\n1\nabc\n1\n",        # value is not a number
+], ids=["bad-count", "nx-1", "bad-value"])
+def test_forward_malformed_field_file_names_path(tmp_path, capsys, text):
+    bad = tmp_path / "bad.field"
+    bad.write_text(text)
+    code = main(["forward", "--q", str(bad), "--g", "const:1",
+                 "--out", str(tmp_path / "u.field")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_counterexample_writes_table(tmp_path, capsys):
     out = tmp_path / "family.csv"
     code = main(["counterexample", "--r", "1.0", "--R", "2.0",

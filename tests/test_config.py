@@ -4,15 +4,14 @@ import pytest
 from hybridlab import ContractViolation, Grid, ScalarField, boundary_values, save_field
 from hybridlab.config import (
     DEFAULTS,
-    bounds_from_config,
     field_from_spec,
     g_from_spec,
     get_float,
     get_float_list,
     get_int,
-    grid_from_config,
     parse_config,
 )
+from hybridlab.harness import SweepConfig
 
 
 def write_cfg(tmp_path, text):
@@ -119,14 +118,17 @@ def test_g_spec_matches_boundary_values():
 
 
 def test_grid_and_bounds_from_config():
+    # SweepConfig.from_config is the one reader of the sweep settings
     cfg = {
         "sweep.nx": "17", "sweep.lx": "2.0",
+        "sweep.q": "const:2", "sweep.g": "coscos", "sweep.amplitudes": "0.1",
         "sweep.k": "4", "sweep.e": "50", "sweep.h": "0.1",
         "sweep.d": "0.25,0.5",
     }
-    grid = grid_from_config(cfg)
+    sweep = SweepConfig.from_config(cfg)
+    grid = sweep.grid
     assert grid.nx == 17 and grid.ny == 17 and grid.lx == 2.0 and grid.ly == 2.0
-    b = bounds_from_config(cfg)
+    b = sweep.bounds
     assert (b.k_bound, b.e_bound, b.h_bound, b.d_margin) == (4.0, 50.0, 0.1, 0.25)
     line_cfg = dict(cfg, **{"sweep.ny": "1"})
-    assert grid_from_config(line_cfg).is_1d
+    assert SweepConfig.from_config(line_cfg).grid.is_1d

@@ -167,6 +167,12 @@ def test_interior_mask_monotone_in_d():
         interior_mask(g, -0.1)
 
 
+def test_interior_mask_refuses_nan_margin():
+    g = Grid(nx=5, ny=5, lx=1.0, ly=1.0)
+    with pytest.raises(ContractViolation, match="nan"):
+        interior_mask(g, float("nan"))
+
+
 def test_ball_mask_open_and_centered():
     g = Grid(nx=5, ny=5, lx=1.0, ly=1.0)
     m = ball_mask(g, (0.5, 0.5), 0.25)  # strict: only the center node

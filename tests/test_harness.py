@@ -153,6 +153,17 @@ def test_sweep_config_validation():
         small_sweep_config(d_list=())
 
 
+def test_sweep_config_refuses_nan_and_empty_margins():
+    nan = float("nan")
+    with pytest.raises(ContractViolation, match="nonnegative"):
+        small_sweep_config(amplitudes=(0.1, nan))
+    with pytest.raises(ContractViolation, match="margin"):
+        small_sweep_config(d_list=(0.125, nan))
+    # the unit square's inradius is 0.5: d = 0.5 leaves no interior node
+    with pytest.raises(ContractViolation, match="d = 0.5 leaves no interior node"):
+        small_sweep_config(d_list=(0.125, 0.5))
+
+
 def test_sweep_config_from_config_file(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("""
