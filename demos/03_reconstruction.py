@@ -1,9 +1,10 @@
 """Recovering (u, q) from the internal measurement F = q u^2.
 
 The fixed-point iteration solves laplacian(v) = -F / clamp(u_k) until
-the update stalls, then divides to get q.  Nodes where the clamp or the
-[1/K, K] projection fired are reported in a mask; on nodal lines of u
-the measurement carries no information and the floor takes over.
+the update stalls, then divides to get q.  Nodes where the clamp fired
+are reported in one mask, nodes projected onto [1/K, K] in another; on
+nodal lines of u the measurement carries no information and the floor
+takes over.
 """
 
 import numpy as np
@@ -44,9 +45,10 @@ def main():
     u = ScalarField.from_function(grid, np.cos)  # vanishes at x = pi/2
     f = internal_data(q, u)
     res = reconstruct_u(f, [1.0, -1.0])
-    q_hat, mask = recover_q(f, res.u_hat, k_bound)
+    q_hat, clamped, projected = recover_q(f, res.u_hat, k_bound, tol=res.tol)
     mid = int(np.argmin(np.abs(grid.xs() - np.pi / 2)))
-    print(f"\nnodal line case: clamp mask marks {int(mask.sum())} node(s), "
+    print(f"\nnodal line case: clamp mask marks {int(clamped.sum())} node(s), "
+          f"projection {int(projected.sum())}, "
           f"q_hat at the zero = {q_hat.values[0, mid]:.4f} "
           f"(projection floor 1/K = {1 / k_bound})")
 

@@ -80,10 +80,13 @@ def _cmd_reconstruct(args) -> int:
     save_field(result.q_hat, out / "q.field")
     save_result_manifest(result, out / "result.json")
     status = "converged" if result.converged else "NOT converged"
+    admissible = ("admissible" if result.admissible else
+                  f"NOT admissible ({int(result.projected_mask.sum())} "
+                  f"nodes projected onto [1/K, K])")
     print(
         f"reconstruct: {status} in {result.iterations} iterations "
         f"(update {result.final_update_linf:.3e}, floor hits "
-        f"{result.floor_hits}) -> {out}"
+        f"{result.floor_hits}), {admissible} -> {out}"
     )
     return 0
 

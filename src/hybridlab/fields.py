@@ -170,9 +170,10 @@ class PriorBounds:
     d_margin: float
 
     def __post_init__(self):
-        if self.k_bound < 1:
+        # written as `not x > 0` so that NaN is refused too
+        if not self.k_bound >= 1:
             raise ContractViolation(f"K must be >= 1, got {self.k_bound}")
-        if self.e_bound <= 0 or self.h_bound <= 0 or self.d_margin <= 0:
+        if not (self.e_bound > 0 and self.h_bound > 0 and self.d_margin > 0):
             raise ContractViolation("E, H, d must all be positive")
         if self.h_bound > self.e_bound * np.sqrt(self.k_bound) * (1 + 1e-15):
             raise ContractViolation(

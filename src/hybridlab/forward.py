@@ -174,7 +174,7 @@ class DiscreteOperator:
         gap falls below 1e-6 of the operator's norm bound, and a generic
         solver failure otherwise; both carry the partial report.
         """
-        if tol <= 0:
+        if not tol > 0:  # refuses NaN too
             raise ContractViolation(f"tol must be positive, got {tol}")
         full = boundary_field(self.grid, g)
         b = self._load(full, source)

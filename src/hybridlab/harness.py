@@ -4,8 +4,9 @@ stability law, and emit deterministic reports.
 A sweep walks a grid of (perturbation amplitude, seed) cells.  Each cell
 synthesizes a pair, measures the data discrepancy epsilon a posteriori,
 records the true coefficient error on every requested interior margin,
-and runs the blind reconstruction from (F2, g) so reconstruction error
-can be compared against the theorem-side error.  Individual cell
+and runs the blind reconstruction from (F2, g), recording its error
+as a check that exact data are reconstructed within recon.tol; that
+error is solver noise at every epsilon, so it is not fitted.  Individual cell
 failures are recorded as flagged samples; the sweep never aborts.  The
 cells come from sweep_pairs, the one cell loop, which `hybridlab synth`
 also draws from.
@@ -274,20 +275,15 @@ class StabilityReport:
     d_list: tuple
 
 
-def _fit_or_flag(points, tol: float = 0.0):
-    """(fit, flag) where flag is 'ok', 'underdetermined', or 'skipped',
-    and 'below_tol' for a fit whose every error is under tol: such a fit
-    measures solver noise, not a stability law."""
+def _fit_or_flag(points):
+    """(fit, flag) where flag is 'ok', 'underdetermined', or 'skipped'."""
     try:
-        fit, flag = fit_holder(points), "ok"
+        return fit_holder(points), "ok"
     except UnderdeterminedFit:
         try:
-            fit, flag = _two_point_fit(points), "underdetermined"
+            return _two_point_fit(points), "underdetermined"
         except UnderdeterminedFit:
             return None, "skipped"
-    if all(err < tol for _, err in points):
-        flag = "below_tol"
-    return fit, flag
 
 
 def sweep_pairs(config: SweepConfig):
@@ -394,13 +390,7 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
 
     d0 = config.d_list[0]
     true_points = [(s.epsilon, s.err_true[d0]) for s in samples if s.usable]
-    recon_points = [
-        (s.epsilon, s.err_recon[d0])
-        for s in samples
-        if s.usable and s.flags.get("recon_converged", False) and s.err_recon
-    ]
     true_fit, true_flag = _fit_or_flag(true_points)
-    recon_fit, recon_flag = _fit_or_flag(recon_points, config.recon_tol)
 
     eta_in_range = (
         true_fit is not None and 0.0 < true_fit.eta_hat <= 1.2
@@ -411,8 +401,8 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     return StabilityReport(
         samples=tuple(samples),
         fit=true_fit,
-        fits={"true": true_fit, "recon": recon_fit},
-        fit_flags={"true": true_flag, "recon": recon_flag},
+        fits={"true": true_fit},
+        fit_flags={"true": true_flag},
         eta_in_range=bool(eta_in_range),
         diagnostics=diagnostics,
         config_echo=dict(config.echo),
@@ -488,7 +478,7 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
 
 _SVG_W, _SVG_H = 640, 480
 _SVG_L, _SVG_R, _SVG_T, _SVG_B = 70, 20, 20, 50
-_FIT_COLORS = {"true": "#d1495b", "recon": "#2e8b57"}
+_FIT_COLORS = {"true": "#d1495b"}
 
 
 def _svg_num(v: float) -> str:

@@ -2,20 +2,34 @@
 
 On the positive-solution branch, F = q u^2 lets the equation be
 rewritten as the semilinear Poisson problem  laplacian(u) = -F/u,
-which suggests the fixed-point iteration
+which suggests the fixed-point map
 
-    u_0   = harmonic extension of g,
-    u_k+1 = solve( laplacian(v) = -F / clamp(u_k; tau), v = g on boundary ),
+    T(u) = solve( laplacian(v) = -F / clamp(u; tau), v = g on boundary ),
 
-with clamp(s; tau) = sign(s) max(|s|, tau) protecting the division near
+started from the harmonic extension of g, with
+clamp(s; tau) = sign(s) max(|s|, tau) protecting the division near
 nodal sets, followed by the algebraic recovery q = F / max(u^2, tau^2)
 projected onto the prior interval [1/K, K].  Where u (hence F)
-vanishes, F carries no information about q at all, so clamped and
-projected nodes are reported in a mask instead of being repaired: the
-recovery is honest about exactly where the data determines the
-coefficient.  The iteration map contracts like q/lambda_1 in the
-well-posed regime; non-convergence is flagged on the result, never
-hidden.
+vanishes, F carries no information about q at all, so clamped nodes are
+reported in a mask instead of being repaired.  Nodes that had to be
+projected although the clamp left them alone, beyond what the update
+tolerance explains, go in a second mask: a recovered q_hat with any of
+them breaks the prior bound, so the result is flagged not admissible.
+The map contracts like q/lambda_1 in the well-posed regime;
+non-convergence is flagged on the result, never hidden.
+
+The iterates are accelerated by type-II Anderson mixing of depth 5
+(Walker and Ni, SIAM J. Numer. Anal. 49, 2011): the next iterate is
+T(u_k) minus the combination of the last five image differences whose
+residual differences best cancel r_k = T(u_k) - u_k in the 2-norm.  The
+clamp, floor hits and the sign-change test act on the iterate fed to T.
+A mixed iterate that is not finite, or a small least-squares solve that
+fails, gives way to the plain step T(u_k) and clears the history; a
+growing update does not, since resetting on it throws away the history
+that carries the iteration near lambda_1.  The stop test is
+||T(u_k) - u_k||_inf < tol, and the result is the plain image T(u_k),
+never a mixed point, so final_update_linf is the update of the
+returned field's own preimage, as without mixing.
 
 Every solve of the iteration is the pure Dirichlet Laplacian (q = 0) on
 the uniform grid, which the type-I discrete sine transform diagonalises:
@@ -73,6 +87,18 @@ class ReconstructionResult:
     tol: float
     sign_change: bool = False
     clamp_mask: np.ndarray | None = None
+    projected_mask: np.ndarray | None = None
+
+    @property
+    def admissible(self) -> bool | None:
+        """Whether q_hat needed no projection onto [1/K, K] outside the
+        clamped nodes; None before q is recovered.  False means the
+        recovered pair breaks the prior bound K, so it is not the pair
+        that made the data (on a sign-changing solution the fixed point
+        finds a positive one)."""
+        if self.projected_mask is None:
+            return None
+        return not self.projected_mask.any()
 
     def __post_init__(self):
         if self.converged and self.final_update_linf > self.tol:
@@ -92,6 +118,13 @@ def _clamp(values: np.ndarray, tau: float) -> np.ndarray:
 
 def _auto_tau(scale: float) -> float:
     return 1e-6 * max(scale, 1.0)
+
+
+def _check_tau(tau: float):
+    """The clamp floor is positive, or 0 to pick it from the data."""
+    if not tau >= 0.0:  # refuses NaN too
+        raise ContractViolation(
+            f"tau must be >= 0 (0 picks it from the data), got {tau}")
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -139,7 +172,7 @@ class DirichletLaplacian:
         Raises SolverFailure when ||A x - b||_inf > tol ||b||_inf, which
         includes any non-finite source or iterate.
         """
-        if tol <= 0:
+        if not tol > 0:  # refuses NaN too
             raise ContractViolation(f"tol must be positive, got {tol}")
         u = np.array(gfull, dtype=float)
         for arr in (u, source):
@@ -160,16 +193,78 @@ class DirichletLaplacian:
         return u
 
 
+# history length of the Anderson mixing
+_DEPTH = 5
+
+
+def _mixing_coefficients(d_res: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """gamma minimising ||residual - gamma . d_res||_2 over the rows of
+    d_res, by the normal equations with small singular values truncated;
+    raises numpy.linalg.LinAlgError when the solve fails."""
+    return np.linalg.lstsq(d_res @ d_res.T, d_res @ residual, rcond=None)[0]
+
+
+class _Anderson:
+    """Type-II Anderson mixing of a fixed-point map u -> T(u) (Walker
+    and Ni, SIAM J. Numer. Anal. 49, 2011), over the last _DEPTH steps.
+
+    The history holds differences of successive residuals r = T(u) - u
+    and of successive images T(u), each pair scaled so that the residual
+    difference has unit 2-norm, in preallocated (depth, n) arrays used
+    as a ring.  The mixed iterate is T(u_k) - gamma . dT, where gamma
+    minimises ||r_k - gamma . dR||_2.
+    """
+
+    def __init__(self, size: int):
+        self.d_res = np.empty((_DEPTH, size))
+        self.d_img = np.empty((_DEPTH, size))
+        self.stored = 0
+        self.last = None
+
+    def mix(self, image: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """The next iterate from T(u_k) and r_k.  Falls back to the plain
+        step T(u_k), and clears the history, when the residual did not
+        change, the small least-squares solve fails, or the mixed iterate
+        is not finite."""
+        last, self.last = self.last, (image, residual)
+        if last is not None:
+            d_res = (residual - last[1]).ravel()
+            norm = float(np.linalg.norm(d_res))
+            if 0.0 < norm < np.inf:
+                slot = self.stored % _DEPTH
+                self.d_res[slot] = d_res / norm
+                self.d_img[slot] = (image - last[0]).ravel() / norm
+                self.stored += 1
+            else:
+                self.stored = 0
+        k = min(self.stored, _DEPTH)
+        if k == 0:
+            return image
+        try:
+            gamma = _mixing_coefficients(self.d_res[:k], residual.ravel())
+        except np.linalg.LinAlgError:
+            self.stored = 0
+            return image
+        mixed = image - (gamma @ self.d_img[:k]).reshape(image.shape)
+        if not np.isfinite(mixed).all():
+            self.stored = 0
+            return image
+        return mixed
+
+
 def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
                   max_iter: int = 200, tau: float = 0.0,
                   solver_tol: float = 1e-9) -> ReconstructionResult:
-    """Recover u from (F, g) by the clamped fixed-point iteration.
+    """Recover u from (F, g) by the clamped fixed-point iteration with
+    Anderson mixing (module docstring).
 
     Stops when the sup-norm update drops below tol or after max_iter
     solves; the result's converged flag distinguishes the two.  A sign
     change of the iterate inside {F > 0} marks departure from the
     positive-solution regime and is flagged, not fatal.
     """
+    if not tol > 0:  # refuses NaN too
+        raise ContractViolation(f"tol must be positive, got {tol}")
     grid = f.grid
     fvals = f.values.copy()
     neg = fvals < -max(tol, 1e-12)
@@ -186,31 +281,29 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
             "boundary data identically zero with nontrivial F: the "
             "positive-solution ansatz cannot hold"
         )
-    if tau <= 0.0:
+    _check_tau(tau)
+    if tau == 0.0:
         tau = _auto_tau(g_linf)
     if max_iter < 1:
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
 
     lap = DirichletLaplacian(grid)
     u = lap.solve(gfull, tol=solver_tol)
+    mixer = _Anderson(u.size)
     positive = fvals > 0.0
     sign_change = False
-    floor_hits = 0
-    update = float("inf")
-    iterations = 0
-    for _ in range(max_iter):
-        clamped = _clamp(u, tau)
+    for iterations in range(1, max_iter + 1):
         floor_hits = int(np.count_nonzero(np.abs(u) < tau))
-        u_next = lap.solve(gfull, -fvals / clamped, solver_tol)
-        iterations += 1
-        if np.any(positive & (u * u_next < 0.0)):
+        image = lap.solve(gfull, -fvals / _clamp(u, tau), solver_tol)
+        if np.any(positive & (u * image < 0.0)):
             sign_change = True
-        update = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if update < tol:
+        residual = image - u
+        update = float(np.max(np.abs(residual)))
+        if update < tol or iterations == max_iter:
             break
+        u = mixer.mix(image, residual)
     return ReconstructionResult(
-        u_hat=ScalarField(grid, u),
+        u_hat=ScalarField(grid, image),
         q_hat=None,
         iterations=iterations,
         final_update_linf=update,
@@ -222,22 +315,34 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
 
 
 def recover_q(f: ScalarField, u_hat: ScalarField, k_bound: float,
-              tau: float = 0.0):
+              tau: float = 0.0, tol: float = 0.0):
     """Algebraic recovery q = F / max(u^2, tau^2), projected onto
-    [1/K, K] with K = k_bound; returns (q_hat, mask) with the mask
-    marking every node where the clamp or the projection fired."""
+    [1/K, K] with K = k_bound; returns (q_hat, clamped, projected).
+
+    clamped marks the nodes where u_hat^2 < tau^2.  projected marks the
+    other nodes where F/u_hat^2 leaves [1/K, K] by more than an error
+    tol in u_hat explains: q in [1/K, K] and |u - u_hat| <= tol put it
+    in [(1 - tol/|u_hat|)^2 / K, (1 + tol/|u_hat|)^2 K], so a node where
+    q is exactly K (a saturated perturbation) is not marked.
+    """
     if f.grid != u_hat.grid:
         raise ContractViolation("F and u_hat live on different grids")
-    if k_bound < 1:
+    if not k_bound >= 1:
         raise ContractViolation(f"K must be >= 1, got {k_bound}")
-    if tau <= 0.0:
+    if not tol >= 0:
+        raise ContractViolation(f"tol must be >= 0, got {tol}")
+    _check_tau(tau)
+    if tau == 0.0:
         tau = _auto_tau(float(np.max(np.abs(u_hat.values))))
-    clamped = np.maximum(u_hat.values**2, tau**2)
-    raw = f.values / clamped
+    size = np.abs(u_hat.values)
+    clamped = size < tau
+    size = np.maximum(size, tau)
+    raw = f.values / size**2
     lo, hi = 1.0 / k_bound, k_bound
-    projected = np.clip(raw, lo, hi)
-    mask = (u_hat.values**2 < tau**2) | (projected != raw)
-    return ScalarField(f.grid, projected), mask
+    slack = tol / size
+    projected = ~clamped & ((raw > hi * (1.0 + slack)**2)
+                            | (raw < lo * (1.0 - slack)**2))
+    return ScalarField(f.grid, np.clip(raw, lo, hi)), clamped, projected
 
 
 def reconstruction_error(q_hat: ScalarField, q_true: ScalarField,
@@ -253,19 +358,22 @@ def reconstruction_error(q_hat: ScalarField, q_true: ScalarField,
 def reconstruct(f: ScalarField, g, k_bound: float, *,
                 tol: float = 1e-8, max_iter: int = 200, tau: float = 0.0,
                 solver_tol: float = 1e-9) -> ReconstructionResult:
-    """Full pipeline: reconstruct u, then recover and attach q_hat."""
+    """Full pipeline: reconstruct u, then recover and attach q_hat with
+    its clamped and projected masks."""
     res = reconstruct_u(f, g, tol=tol, max_iter=max_iter, tau=tau,
                         solver_tol=solver_tol)
-    q_hat, mask = recover_q(f, res.u_hat, k_bound, tau)
-    return replace(res, q_hat=q_hat, clamp_mask=mask)
+    q_hat, clamped, projected = recover_q(f, res.u_hat, k_bound, tau, tol)
+    return replace(res, q_hat=q_hat, clamp_mask=clamped,
+                   projected_mask=projected)
 
 
 def save_result_manifest(result: ReconstructionResult, path) -> Path:
     """Write the run record {iterations, final_update_linf, floor_hits,
-    converged} as JSON."""
+    converged, admissible} as JSON."""
     return write_json(path, {
         "iterations": result.iterations,
         "final_update_linf": result.final_update_linf,
         "floor_hits": result.floor_hits,
         "converged": result.converged,
+        "admissible": result.admissible,
     })

@@ -69,14 +69,35 @@ def test_forward_near_singular_is_solver_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_reconstruct_roundtrip(tmp_path, capsys):
+def test_forward_nan_tol_is_contract_error(tmp_path, q_file, capsys):
+    code = main(["forward", "--q", str(q_file), "--g", "coscos",
+                 "--out", str(tmp_path / "u.field"), "--tol", "nan"])
+    assert code == 2
+    assert "tol must be positive, got nan" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def f_file(tmp_path):
     grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
     q = ScalarField.constant(grid, 2.0)
     report = solve_dirichlet(q, lambda x, y: np.cos(x) * np.cos(y))
-    f_path = tmp_path / "f.field"
-    save_field(internal_data(q, report.u), f_path)
+    path = tmp_path / "f.field"
+    save_field(internal_data(q, report.u), path)
+    return path
+
+
+def test_reconstruct_nan_tol_is_contract_error(tmp_path, f_file, capsys):
     out = tmp_path / "recon"
-    code = main(["reconstruct", "--f", str(f_path), "--g", "coscos",
+    code = main(["reconstruct", "--f", str(f_file), "--g", "coscos",
+                 "--out", str(out), "--tol", "nan"])
+    assert code == 2
+    assert "tol must be positive, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_roundtrip(tmp_path, f_file, capsys):
+    out = tmp_path / "recon"
+    code = main(["reconstruct", "--f", str(f_file), "--g", "coscos",
                  "--out", str(out), "--k", "4"])
     assert code == 0
     assert "converged" in capsys.readouterr().out
@@ -84,6 +105,7 @@ def test_reconstruct_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(q_hat.values - 2.0)) <= 1e-5
     manifest = json.loads((out / "result.json").read_text())
     assert manifest["converged"] is True
+    assert manifest["admissible"] is True
     assert (out / "u.field").exists()
 
 

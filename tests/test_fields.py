@@ -67,6 +67,13 @@ def test_prior_bounds_validation():
         PriorBounds(k_bound=4.0, e_bound=1.0, h_bound=1.0, d_margin=0.0)
 
 
+@pytest.mark.parametrize("field", ["k_bound", "e_bound", "h_bound", "d_margin"])
+def test_prior_bounds_refuse_nan(field):
+    good = dict(k_bound=4.0, e_bound=10.0, h_bound=1.0, d_margin=0.1)
+    with pytest.raises(ContractViolation):
+        PriorBounds(**dict(good, **{field: float("nan")}))
+
+
 # --- scalar fields ----------------------------------------------------------
 
 def test_field_shape_and_immutability():

@@ -120,24 +120,14 @@ def test_fit_underdetermined_without_epsilon_spread():
         fit_holder([(0.1, 0.2), (0.1, 0.3), (0.1, 0.25)])
 
 
-def test_fit_flag_below_tolerance_only_when_every_point_is_below():
+def test_fit_flag_ok_underdetermined_or_skipped():
     eps = np.logspace(-4, -1, 6)
-    tol = 1e-8
-    below = 1e-9 * (np.sqrt(eps) + eps) ** 0.05
-    fit, flag = _fit_or_flag(list(zip(eps, below)), tol)
-    assert fit is not None and flag == "below_tol"
-    # one point above tol makes the fit a measurement again
-    straddle = below.copy()
-    straddle[-1] = 2e-8
-    fit, flag = _fit_or_flag(list(zip(eps, straddle)), tol)
-    assert fit is not None and flag == "ok"
-    fit, flag = _fit_or_flag(list(zip(eps[:2], below[:2])), tol)
-    assert fit.underdetermined and flag == "below_tol"
-    fit, flag = _fit_or_flag(list(zip(eps[:2], 10 * tol + below[:2])), tol)
+    err = 1e-3 * (np.sqrt(eps) + eps) ** 0.8
+    fit, flag = _fit_or_flag(list(zip(eps, err)))
+    assert flag == "ok" and not fit.underdetermined
+    fit, flag = _fit_or_flag(list(zip(eps[:2], err[:2])))
     assert fit.underdetermined and flag == "underdetermined"
-    assert _fit_or_flag([(eps[0], below[0])], tol) == (None, "skipped")
-    # no tolerance given: the flag only says whether a fit exists
-    assert _fit_or_flag(list(zip(eps, below)))[1] == "ok"
+    assert _fit_or_flag([(eps[0], err[0])]) == (None, "skipped")
 
 
 # --------------------------------------------------------------- SweepConfig
@@ -225,8 +215,8 @@ def test_sweep_error_monotone_in_margin(smoke_report):
 def test_sweep_fit_and_diagnostics_attached(smoke_report):
     rep = smoke_report
     assert rep.fit is not None and rep.fit is rep.fits["true"]
-    # every err_recon (largest ~3e-10) is under recon.tol = 1e-8
-    assert rep.fit_flags == {"true": "ok", "recon": "below_tol"}
+    # err_recon is solver noise (under recon.tol = 1e-8), so it gets no fit
+    assert rep.fit_flags == {"true": "ok"} and set(rep.fits) == {"true"}
     assert rep.fit.n_used == 6
     assert rep.diagnostics is not None
     assert rep.diagnostics.weighted is not None
@@ -362,8 +352,8 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
 
     fit = json.loads(files["fit"].read_text())
     assert fit["fit"]["eta_hat"] == smoke_report.fit.eta_hat
-    assert fit["fits"]["recon"]["n_used"] == 6
-    assert fit["fit_flags"] == {"true": "ok", "recon": "below_tol"}
+    assert set(fit["fits"]) == {"true"}
+    assert fit["fit_flags"] == {"true": "ok"}
     assert fit["n_samples"] == 6
     assert fit["diagnostics_summary"]["max_doubling"] > 0
     assert fit["config"] == {"sweep.nx": "17"}
@@ -374,13 +364,13 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
 
     svg = files["scatter"].read_text()
     assert svg.count("<circle") == len(smoke_report.samples)
-    assert svg.count("<polyline") == 2
+    assert svg.count("<polyline") == 1
 
 
 def test_emit_report_empty_sample_list(tmp_path):
     rep = StabilityReport(
-        samples=(), fit=None, fits={"true": None, "recon": None},
-        fit_flags={"true": "skipped", "recon": "skipped"},
+        samples=(), fit=None, fits={"true": None},
+        fit_flags={"true": "skipped"},
         eta_in_range=False, diagnostics=None, config_echo={},
         d_list=(0.125,),
     )
@@ -406,8 +396,8 @@ def test_scatter_keeps_samples_above_the_fit_line_inside_the_plot(tmp_path):
     fit = HolderFit(c_hat=1e-3, eta_hat=1.0, residual_rms=0.0,
                     eta_ci=(1.0, 1.0), n_used=2, n_excluded=0)
     rep = StabilityReport(
-        samples=samples, fit=fit, fits={"true": fit, "recon": None},
-        fit_flags={"true": "ok", "recon": "skipped"}, eta_in_range=True,
+        samples=samples, fit=fit, fits={"true": fit},
+        fit_flags={"true": "ok"}, eta_in_range=True,
         diagnostics=None, config_echo={}, d_list=(0.125,),
     )
     svg = emit_report(rep, tmp_path / "scatter")["scatter"].read_text()
@@ -447,9 +437,6 @@ REPORT_FILES = ("samples.csv", "fit.json", "diagnostics.csv", "scatter.svg")
 # scatter.svg prints coordinates to 6 significant digits, so a solver
 # rounding change can move the last printed digit (0.001 px here).
 SVG_PX_TOL = 0.01
-# fits.recon is refit from the err_recon column of the same report; only
-# the floating-point order of the least-squares solve may differ.
-REFIT_REL_TOL = 1e-12
 
 
 def _pinned_config():
@@ -484,7 +471,7 @@ def _assert_csv_contract(produced, golden, tol_for):
 
 def _assert_json_contract(got, want, float_tol, path=""):
     """Exact keys, types, ints, bools and strings; float_tol(path) gives
-    a float's (rel, abs) tolerance, or None where another check owns it."""
+    a float's (rel, abs) tolerance."""
     where = f"fit.json {path or '<root>'}"
     assert type(got) is type(want), f"{where}: type {got!r} vs {want!r}"
     if isinstance(want, dict):
@@ -497,35 +484,10 @@ def _assert_json_contract(got, want, float_tol, path=""):
         for i, (a, b) in enumerate(zip(got, want)):
             _assert_json_contract(a, b, float_tol, f"{path}[{i}]")
     elif isinstance(want, float):
-        tol = float_tol(path)
-        assert tol is None or _close(got, want, *tol), \
+        assert _close(got, want, *float_tol(path)), \
             f"{where}: {got!r} vs {want!r}"
     else:
         assert got == want, f"{where}: {got!r} vs {want!r}"
-
-
-def _assert_recon_refit(report_dir, recon_fit):
-    """fits.recon must be fit_holder applied to the report's own primary
-    err_recon column, over the rows run_sweep admits to the recon fit."""
-    header, *rows = _read_csv(report_dir / "samples.csv")
-    rows = [dict(zip(header, r)) for r in rows]
-    true_col = next(c for c in header if c.startswith("err_true_"))
-    recon_col = next(c for c in header if c.startswith("err_recon_"))
-    admitted = ("hypothesis_ok", "k_ok", "e_ok", "h_ok", "recon_converged")
-    points = [
-        (float(r["epsilon"]), float(r[recon_col])) for r in rows
-        if r["failed"] == "0" and all(r[f] == "1" for f in admitted)
-        and float(r["epsilon"]) > 0 and float(r[true_col]) > 0
-    ]
-    refit = fit_holder(points)
-    expected = {
-        "c_hat": refit.c_hat, "eta_hat": refit.eta_hat,
-        "residual_rms": refit.residual_rms, "eta_ci": list(refit.eta_ci),
-        "n_used": refit.n_used, "n_excluded": refit.n_excluded,
-        "underdetermined": refit.underdetermined,
-    }
-    _assert_json_contract(recon_fit, expected,
-                          lambda path: (REFIT_REL_TOL, 0.0), "fits.recon")
 
 
 _SVG_ATTR = re.compile(r'="[^"]*"')
@@ -567,9 +529,6 @@ def assert_report_contract(report_dir, golden_dir, cfg):
                          lambda col: solver if col == "value" else None)
 
     def fit_tol(path):
-        # fits.recon sits below recon.tol: the refit below checks it
-        if path.startswith("fits.recon."):
-            return None
         if path.startswith(("fit.", "fits.true.", "diagnostics_summary.")):
             return solver
         return (0.0, 0.0)
@@ -577,8 +536,6 @@ def assert_report_contract(report_dir, golden_dir, cfg):
     got = json.loads((report_dir / "fit.json").read_text())
     want = json.loads((golden_dir / "fit.json").read_text())
     _assert_json_contract(got, want, fit_tol)
-    if got["fits"]["recon"] is not None:
-        _assert_recon_refit(report_dir, got["fits"]["recon"])
 
     svg, nums = _mask_svg((report_dir / "scatter.svg").read_text())
     ref, ref_nums = _mask_svg((golden_dir / "scatter.svg").read_text())
@@ -639,9 +596,9 @@ GOLDEN_MUTATIONS = {
                                  lambda v: "0" if v == "1" else "1"),
         r"samples\.csv row 1 column h_ok"),
     "fit_integer_changed": (
-        lambda d, cfg: _edit_json(d / "fit.json", ("fits", "recon", "n_used"),
+        lambda d, cfg: _edit_json(d / "fit.json", ("fits", "true", "n_used"),
                                   lambda v: v + 1),
-        r"fit\.json fits\.recon\.n_used"),
+        r"fit\.json fits\.true\.n_used"),
     "floor_hits_changed": (
         lambda d, cfg: _edit_csv(d / "diagnostics.csv", -1, "floor_hits",
                                  lambda v: str(int(v) + 1)),
@@ -666,10 +623,6 @@ GOLDEN_MUTATIONS = {
         lambda d, cfg: _edit_json(d / "fit.json", ("fits", "true", "c_hat"),
                                   lambda v: v * (1 + 10 * cfg.solver_tol)),
         r"fit\.json fits\.true\.c_hat"),
-    "fit_recon_moved_10_tol": (
-        lambda d, cfg: _edit_json(d / "fit.json", ("fits", "recon", "eta_hat"),
-                                  lambda v: v * (1 + 10 * REFIT_REL_TOL)),
-        r"fit\.json fits\.recon\.eta_hat"),
     "svg_circle_moved_0.1px": (
         lambda d, cfg: _move_first_circle(d / "scatter.svg", 0.1),
         r"scatter\.svg number \d+"),

@@ -1,10 +1,13 @@
 """Fixed-point reconstruction tests: manufactured pairs, degeneracy
 handling, sign invariance, error reporting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from hybridlab import ContractViolation, Grid, ScalarField
+from hybridlab import ContractViolation, Grid, PriorBounds, ScalarField
+from hybridlab import reconstruction
 from hybridlab.config import field_from_spec, g_from_spec
 from hybridlab.errors import SolverFailure
 from hybridlab.fields import boundary_field
@@ -17,7 +20,7 @@ from hybridlab.reconstruction import (
     recover_q,
     save_result_manifest,
 )
-from hybridlab.synthesis import internal_data
+from hybridlab.synthesis import internal_data, perturb_coefficient
 
 K = 4.0
 SOLVER_TOL = 1e-9  # the residual contract of every solve (solver.tol)
@@ -80,6 +83,8 @@ def test_sine_transform_rejects_fields_of_another_shape():
         lap.solve(np.zeros((9, 9)), np.zeros((7, 9)))
     with pytest.raises(ContractViolation):
         lap.solve(np.zeros((9, 9)), tol=0.0)
+    with pytest.raises(ContractViolation):
+        lap.solve(np.zeros((9, 9)), tol=np.nan)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -147,6 +152,11 @@ def test_preconditions_rejected():
         reconstruct_u(ScalarField.constant(grid, 1.0), 0.0)  # g = 0, F > 0
     with pytest.raises(ContractViolation):
         reconstruct_u(ScalarField.constant(grid, 0.0), coscos, max_iter=0)
+    # written so that NaN is refused, not run for max_iter steps
+    for kwargs in ({"tol": np.nan}, {"tol": 0.0}, {"tau": np.nan},
+                   {"tau": -1e-6}):
+        with pytest.raises(ContractViolation):
+            reconstruct_u(ScalarField.constant(grid, 1.0), coscos, **kwargs)
 
 
 def test_tiny_negative_measurement_clipped():
@@ -175,6 +185,151 @@ def test_sign_invariance():
     np.testing.assert_array_equal(neg.q_hat.values, pos.q_hat.values)
 
 
+# --- Anderson mixing --------------------------------------------------------
+
+def bump_pair(nx, q, amplitude, k_bound, seed=0, **where):
+    """(F2, g, u2) for q plus a clipped bump, with g = 2.5 cos(x) cos(y)."""
+    grid = Grid(nx=nx, ny=nx, lx=1.0, ly=1.0)
+    g = g_from_spec(grid, "expr:2.5*cos(x)*cos(y)")
+    bounds = PriorBounds(k_bound=k_bound, e_bound=1e4, h_bound=0.5,
+                         d_margin=0.125)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the saturated bump warns
+        q2 = perturb_coefficient(ScalarField.constant(grid, q), "bump",
+                                 amplitude, seed, bounds=bounds, **where)
+    u2 = solve_dirichlet(q2.field, g).u
+    return internal_data(q2.field, u2), g, u2
+
+
+def test_near_lambda_1_converges_within_default_max_iter():
+    # q = 19 sits just under the discrete lambda_1 (about 19.7): the
+    # plain iteration contracts by about 0.97 a step and ends 200 steps
+    # unconverged, 0.16 from u2
+    f, g, u2 = bump_pair(33, 19.0, 0.5, 32.0)
+    res = reconstruct_u(f, g)
+    assert res.converged and res.iterations < 200
+    assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("amplitude", [0.5, 4.0])
+def test_recon_slow_cell_takes_at_most_30_iterations(amplitude):
+    # a cell of the recon-slow benchmark workload (seed0 = 0), which the
+    # plain iteration took 109 and 124 steps over
+    f, g, u2 = bump_pair(65, 16.0, amplitude, 32.0)
+    res = reconstruct_u(f, g)
+    assert res.converged and res.iterations <= 30
+    assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
+
+
+def plain_fixed_point(f, g, tol=1e-8, max_iter=200):
+    """The unaccelerated iteration u <- T(u), as the reference."""
+    gfull = boundary_field(f.grid, g)
+    tau = 1e-6 * max(float(np.max(np.abs(gfull))), 1.0)
+    lap = DirichletLaplacian(f.grid)
+    u = lap.solve(gfull)
+    for it in range(1, max_iter + 1):
+        image = lap.solve(gfull, -f.values / reconstruction._clamp(u, tau))
+        update = float(np.max(np.abs(image - u)))
+        if update < tol:
+            break
+        u = image
+    return image, it, update
+
+
+def _nan_coefficients(d_res, residual):
+    return np.full(d_res.shape[0], np.nan)
+
+
+def _failing_coefficients(d_res, residual):
+    raise np.linalg.LinAlgError("forced")
+
+
+@pytest.mark.parametrize("coefficients", [_nan_coefficients,
+                                          _failing_coefficients],
+                         ids=["non-finite", "lstsq-fails"])
+def test_failed_mixing_falls_back_to_the_plain_step(monkeypatch, coefficients):
+    f, g, _ = bump_pair(33, 8.0, 8.0, 16.0)
+    image, iterations, update = plain_fixed_point(f, g)
+    monkeypatch.setattr(reconstruction, "_mixing_coefficients", coefficients)
+    res = reconstruct_u(f, g)
+    # every mixed step fails, so every step is the plain one
+    assert res.converged
+    assert (res.iterations, res.final_update_linf) == (iterations, update)
+    np.testing.assert_array_equal(res.u_hat.values, image)
+
+
+def test_one_failed_mixing_step_clears_history_and_still_converges(
+        monkeypatch):
+    f, g, u2 = bump_pair(33, 16.0, 4.0, 32.0)
+    calls = []
+    mix = reconstruction._mixing_coefficients
+
+    def once_nan(d_res, residual):
+        calls.append(d_res.shape[0])
+        if len(calls) == 3:
+            return _nan_coefficients(d_res, residual)
+        return mix(d_res, residual)
+
+    monkeypatch.setattr(reconstruction, "_mixing_coefficients", once_nan)
+    res = reconstruct_u(f, g)
+    assert res.converged
+    assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
+    # the history grows one step at a time and restarts after the failure
+    assert calls[:6] == [1, 2, 3, 1, 2, 3]
+
+
+def test_returned_field_is_the_image_of_the_last_iterate(monkeypatch):
+    f, g, _ = bump_pair(33, 16.0, 4.0, 32.0)
+    fed, images = [], []
+    clamp, solve = reconstruction._clamp, DirichletLaplacian.solve
+
+    def spy_clamp(values, tau):
+        fed.append(values.copy())
+        return clamp(values, tau)
+
+    def spy_solve(self, *args, **kwargs):
+        images.append(solve(self, *args, **kwargs))
+        return images[-1]
+
+    monkeypatch.setattr(reconstruction, "_clamp", spy_clamp)
+    monkeypatch.setattr(DirichletLaplacian, "solve", spy_solve)
+    res = reconstruct_u(f, g)
+    # images[0] is the harmonic start; images[k] = T(fed[k - 1])
+    assert len(fed) == res.iterations == len(images) - 1
+    assert res.converged
+    np.testing.assert_array_equal(res.u_hat.values, images[-1])
+    assert np.max(np.abs(images[-1] - fed[-1])) == res.final_update_linf
+    assert res.final_update_linf < res.tol
+    # the mixing moved the iterates off the plain images
+    assert any(not np.array_equal(u, t) for u, t in zip(fed[1:], images[1:]))
+
+
+# --- admissibility ----------------------------------------------------------
+
+def test_positive_pair_for_sign_changing_data_is_not_admissible():
+    # q = 21 lies above lambda_1, so the true u changes sign; the fixed
+    # point converges to a positive u_hat whose q_hat = F/u_hat^2 falls
+    # below 1/K on the true nodal line
+    f, g, u2 = bump_pair(33, 21.0, 0.5, 64.0)
+    res = reconstruct(f, g, 64.0)
+    assert res.converged
+    assert u2.values.min() < -40.0 and res.u_hat.values.min() > 0.5
+    assert res.admissible is False
+    assert res.projected_mask.any() and not res.clamp_mask.any()
+
+
+@pytest.mark.parametrize("q, amplitude, k_bound, where", [
+    (8.0, 0.5, 64.0, {}),
+    # q2 = K on 43% of the nodes: q_hat = K (1 + O(tol)) stays admissible
+    (8.0, 40.0, 16.0, {"center": (0.5, 0.5), "width": 0.3}),
+], ids=["q8", "saturated"])
+def test_positive_solution_is_admissible(q, amplitude, k_bound, where):
+    f, g, _ = bump_pair(33, q, amplitude, k_bound, **where)
+    res = reconstruct(f, g, k_bound)
+    assert res.converged and res.admissible is True
+    assert reconstruct_u(f, g).admissible is None
+
+
 # --- recover_q --------------------------------------------------------------
 
 def test_recover_q_algebraic_identity():
@@ -183,9 +338,9 @@ def test_recover_q_algebraic_identity():
     q = ScalarField(grid, rng.uniform(1.0, 2.0, grid.shape))
     u = ScalarField.from_function(grid, coscos)  # |u| >= cos(1)^2 > tau
     f = internal_data(q, u)
-    q_hat, mask = recover_q(f, u, K, tau=1e-8)
+    q_hat, clamped, projected = recover_q(f, u, K, tau=1e-8)
     np.testing.assert_allclose(q_hat.values, q.values, rtol=1e-12)
-    assert not mask.any()
+    assert not clamped.any() and not projected.any()
 
 
 def test_recover_q_nodal_line_projects_to_floor():
@@ -195,10 +350,12 @@ def test_recover_q_nodal_line_projects_to_floor():
     u = ScalarField(grid, np.cos(5.0 * x)[None, :])
     q = ScalarField.constant(grid, 25.0)
     f = internal_data(q, u)
-    q_hat, mask = recover_q(f, u, 30.0, tau=1e-6)
+    q_hat, clamped, projected = recover_q(f, u, 30.0, tau=1e-6)
     zero_nodes = np.abs(u.values) < 1e-12
     assert zero_nodes.any()
-    assert mask[zero_nodes].all()
+    # the clamp marks the nodal set, so no node counts as projected
+    np.testing.assert_array_equal(clamped, zero_nodes)
+    assert not projected.any()
     # F vanishes on the nodal set, so the recovery lands on the prior floor
     np.testing.assert_allclose(q_hat.values[zero_nodes], 1.0 / 30.0)
     off = ~zero_nodes
@@ -209,7 +366,11 @@ def test_zero_measurement_recovers_prior_floor_with_full_mask():
     grid = Grid(nx=13, ny=13, lx=1.0, ly=1.0)
     res = reconstruct(ScalarField.constant(grid, 0.0), coscos, K)
     np.testing.assert_allclose(res.q_hat.values, 1.0 / K)
-    assert res.clamp_mask.all()
+    # u_hat is the harmonic extension, nowhere clamped, and q = F/u^2 = 0
+    # breaks q >= 1/K at every node
+    assert not res.clamp_mask.any()
+    assert res.projected_mask.all()
+    assert res.admissible is False
 
 
 def test_recover_q_always_inside_prior_interval():
@@ -217,10 +378,10 @@ def test_recover_q_always_inside_prior_interval():
     rng = np.random.default_rng(3)
     u = ScalarField(grid, rng.normal(size=grid.shape))
     f = ScalarField(grid, np.abs(rng.normal(size=grid.shape)) * 50.0)
-    q_hat, mask = recover_q(f, u, K)
+    q_hat, clamped, projected = recover_q(f, u, K)
     assert q_hat.values.min() >= 1.0 / K
     assert q_hat.values.max() <= K
-    assert mask.any()
+    assert projected.any()
     # [1/K, K] is an interval only for K >= 1
     with pytest.raises(ContractViolation, match="K must be >= 1"):
         recover_q(f, u, 0.5)
@@ -268,6 +429,7 @@ def test_result_manifest(tmp_path):
 
     payload = json.loads(path.read_text())
     assert set(payload) == {"iterations", "final_update_linf",
-                            "floor_hits", "converged"}
+                            "floor_hits", "converged", "admissible"}
     assert payload["converged"] is True
+    assert payload["admissible"] is True
     assert payload["iterations"] == res.iterations
