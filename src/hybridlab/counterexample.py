@@ -124,12 +124,41 @@ class PathologyRow:
     k_required: float
 
 
-def _sample_grid(r: float, rr: float, m: int) -> np.ndarray:
-    """Uniform samples resolving the finer (index 2m) oscillation."""
+def _sample_count(r: float, rr: float, m: int) -> int:
+    """Number of uniform samples on [-rr, rr] resolving the finer (index
+    2m) oscillation with at least 40 points per period."""
     root_a = np.sqrt((np.pi / 2 + 4 * m * np.pi) ** 2 / r**2)
     periods = 2.0 * rr * root_a / (2.0 * np.pi)
-    n = max(2001, int(np.ceil(40 * periods)) + 1)
-    return np.linspace(-rr, rr, n)
+    return max(2001, int(np.ceil(40 * periods)) + 1)
+
+
+def _inner_samples(r: float, rr: float, m: int) -> np.ndarray:
+    """The samples of np.linspace(-rr, rr, _sample_count(r, rr, m)) with
+    |x| < r, bit for bit: linspace's i-th value is i * step + (-rr), so
+    only the index range [lo, hi) inside (-r, r) is built."""
+    n = _sample_count(r, rr, m)
+    step = 2.0 * rr / (n - 1)
+
+    def at(i):
+        return i * step + (-rr)
+
+    lo = int((rr - r) / step)
+    while at(lo) <= -r:
+        lo += 1
+    while lo > 0 and at(lo - 1) > -r:
+        lo -= 1
+    hi = min(int((rr + r) / step) + 1, n - 1)
+    while hi > lo and at(hi - 1) >= r:
+        hi -= 1
+    while hi < n - 1 and at(hi) < r:
+        hi += 1
+    return np.arange(lo, hi) * step + (-rr)
+
+
+def _inner_data(a_m: float, x: np.ndarray) -> np.ndarray:
+    """q u^2 of the member with coefficient a_m at samples with |x| < r."""
+    root_a = np.sqrt(a_m)
+    return a_m * (np.cos(root_a * x) / root_a) ** 2
 
 
 def pathology_table(r: float, rr: float, m_max: int,
@@ -137,11 +166,13 @@ def pathology_table(r: float, rr: float, m_max: int,
     """Rows m = 1..m_max of the instability table.
 
     data_gap is the sampled sup of |q_2m u_2m^2 - q_m u_m^2| on a grid
-    with at least 40 points per oscillation period; only samples with
-    |x| < r are evaluated, since outside both members are
-    q = 1, u = -sin(|x| - r) and their data agree exactly.  Coefficient
-    gaps are closed form; k_required = A_m names the hypothesis that
-    fails.
+    with at least 40 points per oscillation period.  Only the samples
+    with |x| < r are built, since outside both members are
+    q = 1, u = -sin(|x| - r) and their data agree exactly.  On them the
+    data are evaluated in closed form, A_m (cos(sqrt(A_m) x) / sqrt(A_m))^2,
+    the same floats as eval_q * eval_u**2 without their branch and
+    domain checks.  Coefficient gaps are closed form;
+    k_required = A_m names the hypothesis that fails.
     """
     if m_max < 1:
         raise ContractViolation(f"m_max must be >= 1, got {m_max}")
@@ -150,11 +181,9 @@ def pathology_table(r: float, rr: float, m_max: int,
     h_int = h_integral(r, rr)
     for m in range(1, m_max + 1):
         fam = OscillatoryFamily(r=r, rr=rr, m=m)
-        fam2 = OscillatoryFamily(r=r, rr=rr, m=2 * m)
-        x = _sample_grid(r, rr, m)
-        x = x[np.abs(x) < r]
-        data1 = eval_q(fam, x) * eval_u(fam, x) ** 2
-        data2 = eval_q(fam2, x) * eval_u(fam2, x) ** 2
+        x = _inner_samples(r, rr, m)
+        data1 = _inner_data(fam.a_m, x)
+        data2 = _inner_data(OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m, x)
         gap = float(np.max(np.abs(data2 - data1), initial=0.0))
         rows.append(PathologyRow(
             m=m,

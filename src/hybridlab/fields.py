@@ -345,8 +345,11 @@ def energy(u: ScalarField) -> float:
 # write_text, so an OSError always names the path.  Floats are written with
 # 17 significant digits (exact float64 round trip).
 
+_FLOAT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return _FLOAT % float(v)
 
 
 def write_text(path, text: str) -> Path:
@@ -384,9 +387,10 @@ def write_csv(path, header, rows) -> Path:
 
 def save_field(f: ScalarField, path) -> None:
     g = f.grid
-    lines = [f"FIELD v1 {g.nx} {g.ny} {_fmt(g.lx)} {_fmt(g.ly)}"]
-    lines.extend(_fmt(v) for v in f.values.ravel())
-    write_text(path, "\n".join(lines) + "\n")
+    header = f"FIELD v1 {g.nx} {g.ny} {_fmt(g.lx)} {_fmt(g.ly)}\n"
+    # one %-format over every value: the same text as _fmt on each
+    values = f.values.ravel().tolist()
+    write_text(path, header + ((_FLOAT + "\n") * len(values)) % tuple(values))
 
 
 def load_field(path) -> ScalarField:

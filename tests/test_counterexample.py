@@ -8,7 +8,8 @@ import pytest
 from hybridlab import ContractViolation
 from hybridlab.counterexample import (
     OscillatoryFamily,
-    _sample_grid,
+    _inner_samples,
+    _sample_count,
     coefficient_gap,
     eval_q,
     eval_u,
@@ -86,12 +87,24 @@ def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max):
     # outside |x| < r both members share q = 1 and u, so the samples the
     # table skips contribute exact zeros
     for row in pathology_table(r, rr, m_max):
-        x = _sample_grid(r, rr, row.m)
+        x = np.linspace(-rr, rr, _sample_count(r, rr, row.m))
         fam = OscillatoryFamily(r=r, rr=rr, m=row.m)
         fam2 = OscillatoryFamily(r=r, rr=rr, m=2 * row.m)
         whole = np.max(np.abs(eval_q(fam2, x) * eval_u(fam2, x) ** 2
                               - eval_q(fam, x) * eval_u(fam, x) ** 2))
         assert row.data_gap == whole
+
+
+def test_inner_samples_are_the_masked_linspace():
+    # the table builds only the samples with |x| < r; they must be the
+    # same floats as the whole-interval linspace masked to |x| < r
+    cases = [(1.0, 2.0, m) for m in range(1, 401)]
+    cases += [(r, rr, m) for r, rr in [(0.3, 2.5), (1.7, 1.8), (0.999, 1.0)]
+              for m in (1, 2, 7, 50)]
+    for r, rr, m in cases:
+        x = np.linspace(-rr, rr, _sample_count(r, rr, m))
+        inner = _inner_samples(r, rr, m)
+        assert inner.tobytes() == x[np.abs(x) < r].tobytes(), (r, rr, m)
 
 
 def test_coefficient_gap_closed_forms():

@@ -330,6 +330,22 @@ def test_field_file_header_and_determinism(tmp_path):
     assert first == "FIELD v1 3 1 2 0"
 
 
+def test_field_file_bytes_match_the_per_value_writer(tmp_path):
+    # save_field formats every value in one step; the bytes must be those
+    # of formatting each value on its own, awkward values included (a
+    # ScalarField refuses nan and inf, so a stand-in carries them)
+    from types import SimpleNamespace
+
+    values = np.array([-0.0, 0.0, 1e-300, 5e-324, -1.7976931348623157e308,
+                       0.1, -1.0 / 3.0, 1e16, 2.5, np.nan, np.inf, -np.inf])
+    g = Grid(nx=4, ny=3, lx=1.5, ly=1.0)
+    p = tmp_path / "awkward.field"
+    save_field(SimpleNamespace(grid=g, values=values.reshape(g.shape)), p)
+    lines = ["FIELD v1 4 3 1.5 1"]
+    lines += [format(float(v), ".17g") for v in values]
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_load_field_rejects_malformed(tmp_path):
     p = tmp_path / "bad.field"
     p.write_text("NOTAFIELD v1 3 1 1.0 0.0\n1\n2\n3\n")

@@ -307,15 +307,39 @@ def test_returned_field_is_the_image_of_the_last_iterate(monkeypatch):
 # --- admissibility ----------------------------------------------------------
 
 def test_positive_pair_for_sign_changing_data_is_not_admissible():
-    # q = 21 lies above lambda_1, so the true u changes sign; the fixed
+    # q = 25 lies above lambda_1, so the true u changes sign; the fixed
     # point converges to a positive u_hat whose q_hat = F/u_hat^2 falls
     # below 1/K on the true nodal line
-    f, g, u2 = bump_pair(33, 21.0, 0.5, 64.0)
+    f, g, u2 = bump_pair(33, 25.0, 0.5, 64.0)
     res = reconstruct(f, g, 64.0)
     assert res.converged
-    assert u2.values.min() < -40.0 and res.u_hat.values.min() > 0.5
+    assert u2.values.min() < -10.0 and res.u_hat.values.min() > 0.5
     assert res.admissible is False
     assert res.projected_mask.any() and not res.clamp_mask.any()
+
+
+def test_admissible_flag_separates_basins_of_sign_changing_data():
+    # at q = 21 the basin the fixed point reaches turns on the last bits
+    # of F (the factor ordering or the BLAS build moves them): on copies
+    # of F scaled by 1 + {-1, 0, 1} * 2.2e-16 node by node, some runs
+    # reach the positive pair and some the true sign-changing u2; each
+    # run is admissible exactly when it found u2
+    f, g, u2 = bump_pair(33, 21.0, 0.5, 64.0)
+    found = {"positive": 0, "u2": 0}
+    for seed in range(20):
+        ulps = np.random.default_rng(seed).integers(-1, 2, f.values.shape)
+        res = reconstruct(ScalarField(f.grid, f.values * (1.0 + 2.2e-16 * ulps)),
+                          g, 64.0)
+        if not res.converged:
+            continue
+        if np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8:
+            assert res.admissible is True
+            found["u2"] += 1
+        else:
+            assert res.admissible is False
+            assert res.projected_mask.any() and not res.clamp_mask.any()
+            found["positive"] += res.u_hat.values.min() > 0.5
+    assert found["positive"] and found["u2"], found
 
 
 @pytest.mark.parametrize("q, amplitude, k_bound, where", [
