@@ -37,7 +37,8 @@ def _cmd_forward(args) -> int:
     print(
         f"forward: solved {q.grid.nx}x{q.grid.ny} with method={report.method} "
         f"residual={report.residual_linf:.3e} "
-        f"gap={report.eigen_gap_estimate:.3e} -> {args.out}"
+        f"gap={report.eigen_gap_estimate:.3e} "
+        f"gap_converged={report.gap_converged} -> {args.out}"
     )
     return 0
 

@@ -22,6 +22,8 @@ sup norms and finite-difference residual checks.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,10 +134,11 @@ def _sample_count(r: float, rr: float, m: int) -> int:
     return max(2001, int(np.ceil(40 * periods)) + 1)
 
 
-def _inner_samples(r: float, rr: float, m: int) -> np.ndarray:
-    """The samples of np.linspace(-rr, rr, _sample_count(r, rr, m)) with
-    |x| < r, bit for bit: linspace's i-th value is i * step + (-rr), so
-    only the index range [lo, hi) inside (-r, r) is built."""
+def _inner_range(r: float, rr: float, m: int) -> tuple[int, int, float]:
+    """(lo, hi, step): the samples of np.linspace(-rr, rr,
+    _sample_count(r, rr, m)) with |x| < r are, bit for bit,
+    i * step + (-rr) for i in [lo, hi), since that is linspace's i-th
+    value."""
     n = _sample_count(r, rr, m)
     step = 2.0 * rr / (n - 1)
 
@@ -152,13 +155,38 @@ def _inner_samples(r: float, rr: float, m: int) -> np.ndarray:
         hi -= 1
     while hi < n - 1 and at(hi) < r:
         hi += 1
-    return np.arange(lo, hi) * step + (-rr)
+    return lo, hi, step
 
 
 def _inner_data(a_m: float, x: np.ndarray) -> np.ndarray:
     """q u^2 of the member with coefficient a_m at samples with |x| < r."""
     root_a = np.sqrt(a_m)
     return a_m * (np.cos(root_a * x) / root_a) ** 2
+
+
+# inner samples per block of _data_gap: bounds each worker's temporaries
+_BLOCK = 1 << 14
+
+
+def _data_gap(r: float, rr: float, m: int) -> float:
+    """Sampled sup of |q_2m u_2m^2 - q_m u_m^2| over the inner samples,
+    the largest of the block maxima (NaN propagates as in np.max)."""
+    lo, hi, step = _inner_range(r, rr, m)
+    a1 = OscillatoryFamily(r=r, rr=rr, m=m).a_m
+    a2 = OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m
+    block_max = []
+    for start in range(lo, hi, _BLOCK):
+        x = np.arange(start, min(start + _BLOCK, hi)) * step + (-rr)
+        block_max.append(np.max(np.abs(_inner_data(a2, x)
+                                       - _inner_data(a1, x))))
+    return float(np.max(block_max, initial=0.0))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pathology_table(r: float, rr: float, m_max: int,
@@ -171,20 +199,23 @@ def pathology_table(r: float, rr: float, m_max: int,
     q = 1, u = -sin(|x| - r) and their data agree exactly.  On them the
     data are evaluated in closed form, A_m (cos(sqrt(A_m) x) / sqrt(A_m))^2,
     the same floats as eval_q * eval_u**2 without their branch and
-    domain checks.  Coefficient gaps are closed form;
-    k_required = A_m names the hypothesis that fails.
+    domain checks, in blocks of 2^14 samples so that memory stays flat
+    as m grows.  The members are independent, and numpy's cos and
+    arithmetic release the GIL, so their data gaps run on a thread pool
+    with one worker per CPU the process may use; the rows are collected
+    in m order and do not depend on the worker count.  Coefficient gaps
+    are closed form; k_required = A_m names the hypothesis that fails.
     """
     if m_max < 1:
         raise ContractViolation(f"m_max must be >= 1, got {m_max}")
     ps = sorted(set(float(p) for p in p_list) | {1.0, np.inf})
-    rows = []
     h_int = h_integral(r, rr)
-    for m in range(1, m_max + 1):
+    members = range(1, m_max + 1)
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
+        gaps = list(pool.map(lambda m: _data_gap(r, rr, m), members))
+    rows = []
+    for m, gap in zip(members, gaps):
         fam = OscillatoryFamily(r=r, rr=rr, m=m)
-        x = _inner_samples(r, rr, m)
-        data1 = _inner_data(fam.a_m, x)
-        data2 = _inner_data(OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m, x)
-        gap = float(np.max(np.abs(data2 - data1), initial=0.0))
         rows.append(PathologyRow(
             m=m,
             a_m=fam.a_m,

@@ -266,13 +266,17 @@ class StabilityReport:
     """Sweep outcome: samples, fits, a diagnostics digest, config echo."""
 
     samples: tuple
-    fit: HolderFit | None
     fits: dict
     fit_flags: dict
     eta_in_range: bool
     diagnostics: DiagnosticsReport | None
     config_echo: dict
     d_list: tuple
+
+    @property
+    def fit(self) -> HolderFit | None:
+        """The true fit, fits["true"]."""
+        return self.fits.get("true")
 
 
 def _fit_or_flag(points):
@@ -400,7 +404,6 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     )
     return StabilityReport(
         samples=tuple(samples),
-        fit=true_fit,
         fits={"true": true_fit},
         fit_flags={"true": true_flag},
         eta_in_range=bool(eta_in_range),
@@ -456,7 +459,6 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
         else None
     )
     fit_payload = {
-        "fit": _fit_payload(report.fit),
         "fits": {k: _fit_payload(v) for k, v in sorted(report.fits.items())},
         "fit_flags": dict(sorted(report.fit_flags.items())),
         "eta_in_range": report.eta_in_range,

@@ -37,7 +37,9 @@ def test_forward_writes_solution(tmp_path, q_file, capsys):
     out = tmp_path / "u.field"
     assert main(["forward", "--q", str(q_file), "--g", "coscos",
                  "--out", str(out)]) == 0
-    assert "forward: solved 17x17" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "forward: solved 17x17" in printed
+    assert "gap_converged=True" in printed
     u = load_field(out)
     q = load_field(q_file)
     direct = solve_dirichlet(q, lambda x, y: np.cos(x) * np.cos(y))
@@ -287,7 +289,7 @@ def test_sweep_emits_reports(tmp_path, capsys):
         assert (out / name).exists(), name
     payload = json.loads((out / "fit.json").read_text())
     assert payload["n_samples"] == 2
-    assert payload["fit"]["underdetermined"] is True
+    assert payload["fits"]["true"]["underdetermined"] is True
 
 
 def test_sweep_bad_config_key_is_contract_error(tmp_path, capsys):

@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from hybridlab import ContractViolation
+from hybridlab import ContractViolation, counterexample
 from hybridlab.counterexample import (
     OscillatoryFamily,
-    _inner_samples,
+    _BLOCK,
+    _inner_range,
     _sample_count,
     coefficient_gap,
     eval_q,
@@ -82,17 +83,33 @@ def test_data_gap_bounded_by_two_for_twenty_members():
 
 
 @pytest.mark.parametrize("r, rr, m_max", [(1.0, 2.0, 6), (0.3, 2.5, 4),
-                                           (1.7, 1.8, 5)])
+                                           (1.7, 1.8, 5), (1.0, 2.0, 110)])
 def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max):
     # outside |x| < r both members share q = 1 and u, so the samples the
-    # table skips contribute exact zeros
-    for row in pathology_table(r, rr, m_max):
+    # table skips contribute exact zeros; at m_max = 110 the last members
+    # span more than one block of inner samples
+    rows = pathology_table(r, rr, m_max)
+    if m_max == 110:
+        lo, hi, _ = _inner_range(r, rr, m_max)
+        assert hi - lo > _BLOCK
+    for row in rows:
         x = np.linspace(-rr, rr, _sample_count(r, rr, row.m))
         fam = OscillatoryFamily(r=r, rr=rr, m=row.m)
         fam2 = OscillatoryFamily(r=r, rr=rr, m=2 * row.m)
         whole = np.max(np.abs(eval_q(fam2, x) * eval_u(fam2, x) ** 2
                               - eval_q(fam, x) * eval_u(fam, x) ** 2))
         assert row.data_gap == whole
+
+
+def test_table_rows_do_not_depend_on_worker_count(monkeypatch):
+    # members run on a thread pool; more workers than cores, or one,
+    # give the same rows in the same order
+    tables = []
+    for workers in (1, 7):
+        monkeypatch.setattr(counterexample, "_cpu_count", lambda: workers)
+        tables.append(pathology_table(1.0, 2.0, 40))
+    assert tables[0] == tables[1]
+    assert [row.m for row in tables[1]] == list(range(1, 41))
 
 
 def test_inner_samples_are_the_masked_linspace():
@@ -103,7 +120,8 @@ def test_inner_samples_are_the_masked_linspace():
               for m in (1, 2, 7, 50)]
     for r, rr, m in cases:
         x = np.linspace(-rr, rr, _sample_count(r, rr, m))
-        inner = _inner_samples(r, rr, m)
+        lo, hi, step = _inner_range(r, rr, m)
+        inner = np.arange(lo, hi) * step + (-rr)
         assert inner.tobytes() == x[np.abs(x) < r].tobytes(), (r, rr, m)
 
 

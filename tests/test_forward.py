@@ -233,17 +233,74 @@ def test_solve_rejects_bad_tol():
 
 # --- spectrum ---------------------------------------------------------------
 
-def test_eigen_gap_against_dense_oracle():
-    grid = Grid(nx=11, ny=11, lx=1.0, ly=1.0)
-    q = ScalarField.constant(grid, 2.0)
+def _lowest_pair_midpoint(nx):
+    # q halfway between the two lowest Dirichlet eigenvalues mu_11 and the
+    # double mu_12 = mu_21: the spectrum holds +d, -d, -d with one modulus,
+    # where inverse iteration settles on a gap 4.9x too large at nx = 33
+    h = 1.0 / (nx - 1)
+    mu = [(4.0 / h**2) * (np.sin(j * np.pi * h / 2) ** 2
+                          + np.sin(np.pi * h / 2) ** 2) for j in (1, 2)]
+    return 0.5 * (mu[0] + mu[1])
+
+
+def _bump(x, y):
+    return 2.0 + 30.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.6) ** 2) / 0.02)
+
+
+@pytest.mark.parametrize("grid, q", [
+    (Grid(nx=11, ny=11, lx=1.0, ly=1.0), 2.0),
+    (Grid(nx=33, ny=33, lx=1.0, ly=1.0), _lowest_pair_midpoint(33)),
+    (Grid(nx=33, ny=33, lx=1.0, ly=1.0), 64.0),
+    (Grid(nx=33, ny=33, lx=1.0, ly=1.0), _bump),
+    (Grid(nx=6, lx=1.0), 2.0),
+], ids=["nx11", "midpoint", "q64", "bump", "1d-basis-size"])
+def test_eigen_gap_against_dense_oracle(grid, q):
+    q = (ScalarField.from_function(grid, q) if callable(q)
+         else ScalarField.constant(grid, q))
     op = DiscreteOperator(q)
     lam = np.linalg.eigvalsh(op.matrix.toarray())
-    oracle = np.min(np.abs(lam))
     got = op.eigen_gap()
     assert got.converged
-    assert got.value == pytest.approx(oracle, rel=1e-3)
-    # coarse-grid gap sits near the continuum value |2 - 2 pi^2|
-    assert got.value == pytest.approx(abs(2.0 - 2.0 * np.pi**2), rel=0.02)
+    assert got.value == pytest.approx(np.min(np.abs(lam)), rel=1e-9)
+    if grid.nx == 11:
+        # coarse-grid gap sits near the continuum value |2 - 2 pi^2|
+        assert got.value == pytest.approx(abs(2.0 - 2.0 * np.pi**2),
+                                          rel=0.02)
+
+
+def test_eigen_gap_lu_solve_count():
+    # the 4-vector Lanczos basis finds the gap in few shift-invert solves;
+    # the default 20-vector basis spends 21 here
+    class CountingFactor:
+        def __init__(self, lu):
+            self.lu, self.calls = lu, 0
+
+        def solve(self, b):
+            self.calls += 1
+            return self.lu.solve(b)
+
+    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
+    op = DiscreteOperator(ScalarField.constant(grid, 8.0))
+    counting = CountingFactor(op._lu)
+    op.__dict__["_lu"] = counting
+    assert op.eigen_gap().converged
+    assert 0 < counting.calls <= 12
+
+
+def test_unconverged_gap_reaches_the_solve_report(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def failing_eigsh(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([3.5]),
+                                  np.zeros((0, 1)))
+
+    q = ScalarField.constant(Grid(nx=17, ny=17, lx=1.0, ly=1.0), 2.0)
+    assert solve_dirichlet(q, coscos).gap_converged
+    monkeypatch.setattr(hybridlab.forward, "eigsh", failing_eigsh)
+    rep = solve_dirichlet(q, coscos)
+    assert rep.converged
+    assert not rep.gap_converged
+    assert rep.eigen_gap_estimate == 3.5
 
 
 def test_eigen_gap_is_reproducible():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -214,7 +215,9 @@ def test_sweep_error_monotone_in_margin(smoke_report):
 
 def test_sweep_fit_and_diagnostics_attached(smoke_report):
     rep = smoke_report
+    # the true fit is held once, in fits; fit only reads it
     assert rep.fit is not None and rep.fit is rep.fits["true"]
+    assert "fit" not in {f.name for f in dataclasses.fields(rep)}
     # err_recon is solver noise (under recon.tol = 1e-8), so it gets no fit
     assert rep.fit_flags == {"true": "ok"} and set(rep.fits) == {"true"}
     assert rep.fit.n_used == 6
@@ -351,7 +354,8 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
     assert len(samples) == 1 + len(smoke_report.samples)
 
     fit = json.loads(files["fit"].read_text())
-    assert fit["fit"]["eta_hat"] == smoke_report.fit.eta_hat
+    assert fit["fits"]["true"]["eta_hat"] == smoke_report.fit.eta_hat
+    assert "fit" not in fit
     assert set(fit["fits"]) == {"true"}
     assert fit["fit_flags"] == {"true": "ok"}
     assert fit["n_samples"] == 6
@@ -369,7 +373,7 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
 
 def test_emit_report_empty_sample_list(tmp_path):
     rep = StabilityReport(
-        samples=(), fit=None, fits={"true": None},
+        samples=(), fits={"true": None},
         fit_flags={"true": "skipped"},
         eta_in_range=False, diagnostics=None, config_echo={},
         d_list=(0.125,),
@@ -378,7 +382,7 @@ def test_emit_report_empty_sample_list(tmp_path):
     assert files["samples"].read_text().count("\n") == 1
     assert files["diagnostics"].read_text().count("\n") == 1
     fit = json.loads(files["fit"].read_text())
-    assert fit["fit"] is None and fit["n_samples"] == 0
+    assert fit["fits"]["true"] is None and fit["n_samples"] == 0
     svg = files["scatter"].read_text()
     assert "<circle" not in svg and "<polyline" not in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
@@ -396,7 +400,7 @@ def test_scatter_keeps_samples_above_the_fit_line_inside_the_plot(tmp_path):
     fit = HolderFit(c_hat=1e-3, eta_hat=1.0, residual_rms=0.0,
                     eta_ci=(1.0, 1.0), n_used=2, n_excluded=0)
     rep = StabilityReport(
-        samples=samples, fit=fit, fits={"true": fit},
+        samples=samples, fits={"true": fit},
         fit_flags={"true": "ok"}, eta_in_range=True,
         diagnostics=None, config_echo={}, d_list=(0.125,),
     )
@@ -656,7 +660,7 @@ def test_emit_report_unwritable_directory_has_path_context(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
     rep = StabilityReport(
-        samples=(), fit=None, fits={}, fit_flags={}, eta_in_range=False,
+        samples=(), fits={}, fit_flags={}, eta_in_range=False,
         diagnostics=None, config_echo={}, d_list=(0.1,),
     )
     with pytest.raises(OSError, match="blocked"):
