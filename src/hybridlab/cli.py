@@ -128,7 +128,7 @@ def _cmd_sweep(args) -> int:
     if report.fit is None:
         print(
             f"sweep: {len(report.samples)} samples, fit skipped "
-            f"({report.fit_flags.get('true', 'skipped')}) -> {files['fit']}"
+            f"({report.fit_flag}) -> {files['fit']}"
         )
     else:
         fit = report.fit

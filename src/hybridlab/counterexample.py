@@ -189,8 +189,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def pathology_table(r: float, rr: float, m_max: int,
-                    p_list=(1.0,)) -> list[PathologyRow]:
+def pathology_table(r: float, rr: float, m_max: int) -> list[PathologyRow]:
     """Rows m = 1..m_max of the instability table.
 
     data_gap is the sampled sup of |q_2m u_2m^2 - q_m u_m^2| on a grid
@@ -204,11 +203,11 @@ def pathology_table(r: float, rr: float, m_max: int,
     arithmetic release the GIL, so their data gaps run on a thread pool
     with one worker per CPU the process may use; the rows are collected
     in m order and do not depend on the worker count.  Coefficient gaps
-    are closed form; k_required = A_m names the hypothesis that fails.
+    are closed form, for p = 1 and p = inf; k_required = A_m names the
+    hypothesis that fails.
     """
     if m_max < 1:
         raise ContractViolation(f"m_max must be >= 1, got {m_max}")
-    ps = sorted(set(float(p) for p in p_list) | {1.0, np.inf})
     h_int = h_integral(r, rr)
     members = range(1, m_max + 1)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
@@ -220,7 +219,7 @@ def pathology_table(r: float, rr: float, m_max: int,
             m=m,
             a_m=fam.a_m,
             data_gap=gap,
-            coef_gaps={p: coefficient_gap(r, m, p) for p in ps},
+            coef_gaps={p: coefficient_gap(r, m, p) for p in (1.0, np.inf)},
             h_integral=h_int,
             k_required=fam.a_m,
         ))

@@ -4,12 +4,12 @@ stability law, and emit deterministic reports.
 A sweep walks a grid of (perturbation amplitude, seed) cells.  Each cell
 synthesizes a pair, measures the data discrepancy epsilon a posteriori,
 records the true coefficient error on every requested interior margin,
-and runs the blind reconstruction from (F2, g), recording its error
-as a check that exact data are reconstructed within recon.tol; that
-error is solver noise at every epsilon, so it is not fitted.  Individual cell
-failures are recorded as flagged samples; the sweep never aborts.  The
-cells come from sweep_pairs, the one cell loop, which `hybridlab synth`
-also draws from.
+and runs the blind reconstruction from (F2, u2's boundary trace),
+recording its error as a check that exact data are reconstructed within
+recon.tol; that error is solver noise at every epsilon and boundary
+jitter, so it is not fitted.  Individual cell failures are recorded as
+flagged samples; the sweep never aborts.  The cells come from
+sweep_pairs, the one cell loop, which `hybridlab synth` also draws from.
 
 The summary fit is least squares of log(err) against log(sqrt(eps)+eps)
 over hypothesis-satisfying converged samples.  The fitted power law is a
@@ -243,51 +243,42 @@ def fit_holder(samples) -> HolderFit:
     )
 
 
-def _two_point_fit(samples) -> HolderFit:
-    """Exact line through two usable log-points, flagged underdetermined."""
-    xs, ys, excluded = _usable_points(samples)
+@dataclass(frozen=True)
+class StabilityReport:
+    """Sweep outcome: samples, the one fit and its flag, a diagnostics
+    digest, and the config that ran."""
+
+    samples: tuple
+    config: SweepConfig
+    fit: HolderFit | None
+    fit_flag: str
+    diagnostics: DiagnosticsReport | None
+
+    @property
+    def eta_in_range(self) -> bool:
+        return self.fit is not None and 0.0 < self.fit.eta_hat <= 1.2
+
+
+def _fit_or_flag(points):
+    """(fit, flag) where flag is 'ok', 'skipped', or 'underdetermined'
+    for the exact line through exactly two distinct usable points."""
+    try:
+        return fit_holder(points), "ok"
+    except UnderdeterminedFit:
+        pass
+    xs, ys, excluded = _usable_points(points)
     if xs.size != 2 or abs(xs[1] - xs[0]) < 1e-12:
-        raise UnderdeterminedFit("two distinct usable samples required")
+        return None, "skipped"
     slope = float((ys[1] - ys[0]) / (xs[1] - xs[0]))
-    intercept = float(ys[0] - slope * xs[0])
     return HolderFit(
-        c_hat=float(np.exp(intercept)),
+        c_hat=float(np.exp(ys[0] - slope * xs[0])),
         eta_hat=slope,
         residual_rms=0.0,
         eta_ci=(slope, slope),
         n_used=2,
         n_excluded=int(excluded),
         underdetermined=True,
-    )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Sweep outcome: samples, fits, a diagnostics digest, config echo."""
-
-    samples: tuple
-    fits: dict
-    fit_flags: dict
-    eta_in_range: bool
-    diagnostics: DiagnosticsReport | None
-    config_echo: dict
-    d_list: tuple
-
-    @property
-    def fit(self) -> HolderFit | None:
-        """The true fit, fits["true"]."""
-        return self.fits.get("true")
-
-
-def _fit_or_flag(points):
-    """(fit, flag) where flag is 'ok', 'underdetermined', or 'skipped'."""
-    try:
-        return fit_holder(points), "ok"
-    except UnderdeterminedFit:
-        try:
-            return _two_point_fit(points), "underdetermined"
-        except UnderdeterminedFit:
-            return None, "skipped"
+    ), "underdetermined"
 
 
 def sweep_pairs(config: SweepConfig):
@@ -338,8 +329,6 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     agree only within solver_tol (relative) and reconstruction errors
     within recon_tol (absolute).  See "Reproducibility" in the README.
     """
-    g = g_from_spec(config.grid, config.g_spec)
-
     samples = []
     diag_pair = None
     diag_key = None
@@ -363,8 +352,9 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
         flags = dict(pair.flags)
         flags["failed"] = False
         try:
+            # u2's trace made F2: g, or the displaced g2 under jitter
             recon = reconstruct(
-                pair.f2, g, config.bounds.k_bound,
+                pair.f2, pair.u2, config.bounds.k_bound,
                 tol=config.recon_tol, max_iter=config.recon_max_iter,
                 tau=config.recon_tau, solver_tol=config.solver_tol,
             )
@@ -392,33 +382,19 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
                 diag_key = key
                 diag_pair = pair
 
-    d0 = config.d_list[0]
-    true_points = [(s.epsilon, s.err_true[d0]) for s in samples if s.usable]
-    true_fit, true_flag = _fit_or_flag(true_points)
-
-    eta_in_range = (
-        true_fit is not None and 0.0 < true_fit.eta_hat <= 1.2
-    )
+    fit, fit_flag = _fit_or_flag(
+        [(s.epsilon, s.err_l1_interior) for s in samples if s.usable])
     diagnostics = (
         collect_diagnostics(diag_pair) if diag_pair is not None else None
     )
     return StabilityReport(
-        samples=tuple(samples),
-        fits={"true": true_fit},
-        fit_flags={"true": true_flag},
-        eta_in_range=bool(eta_in_range),
+        samples=tuple(samples), config=config, fit=fit, fit_flag=fit_flag,
         diagnostics=diagnostics,
-        config_echo=dict(config.echo),
-        d_list=tuple(config.d_list),
     )
 
 
 def _d_tag(d: float) -> str:
     return format(float(d), "g")
-
-
-def _fit_payload(fit: HolderFit | None):
-    return None if fit is None else asdict(fit)
 
 
 def emit_report(report: StabilityReport, out_dir) -> dict:
@@ -433,7 +409,7 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
     except OSError as exc:
         raise OSError(f"creating report directory {out}: {exc}") from exc
 
-    ds = list(report.d_list)
+    ds = list(report.config.d_list)
     flag_cols = ["failed", "hypothesis_ok", "k_ok", "e_ok", "h_ok",
                  "recon_converged"]
     header = (
@@ -458,14 +434,15 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
         report.diagnostics.summary() if report.diagnostics is not None
         else None
     )
+    fit = report.fit  # keyed "true", as report readers expect
     fit_payload = {
-        "fits": {k: _fit_payload(v) for k, v in sorted(report.fits.items())},
-        "fit_flags": dict(sorted(report.fit_flags.items())),
+        "fits": {"true": None if fit is None else asdict(fit)},
+        "fit_flags": {"true": report.fit_flag},
         "eta_in_range": report.eta_in_range,
         "n_samples": len(report.samples),
         "d_list": ds,
         "diagnostics_summary": summary,
-        "config": dict(sorted(report.config_echo.items())),
+        "config": report.config.echo,
     }
     fit_path = write_json(out / "fit.json", fit_payload)
     svg_path = write_text(out / "scatter.svg", _scatter_svg(report))
@@ -480,7 +457,6 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
 
 _SVG_W, _SVG_H = 640, 480
 _SVG_L, _SVG_R, _SVG_T, _SVG_B = 70, 20, 20, 50
-_FIT_COLORS = {"true": "#d1495b"}
 
 
 def _svg_num(v: float) -> str:
@@ -488,8 +464,8 @@ def _svg_num(v: float) -> str:
 
 
 def _scatter_svg(report: StabilityReport) -> str:
-    """Hand-built log-log scatter: one circle per plottable sample, one
-    polyline per fit, no timestamps or library metadata."""
+    """Hand-built log-log scatter: one circle per plottable sample, a
+    polyline for the fit, no timestamps or library metadata."""
     pts = []
     for s in sorted(report.samples, key=lambda s: (s.amplitude, s.seed)):
         if (np.isfinite(s.epsilon) and s.epsilon > 0
@@ -497,18 +473,19 @@ def _scatter_svg(report: StabilityReport) -> str:
             x = math.sqrt(s.epsilon) + s.epsilon
             pts.append((math.log10(x), math.log10(s.err_l1_interior)))
 
-    fits = [(k, f) for k, f in sorted(report.fits.items()) if f is not None]
+    fit = report.fit if report.fit and report.fit.c_hat > 0 else None
+
+    def fit_y(x):
+        return math.log10(fit.c_hat) + fit.eta_hat * x
 
     if pts:
         lx = [p[0] for p in pts]
         ly = [p[1] for p in pts]
         x0, x1 = min(lx), max(lx)
         y0, y1 = min(ly), max(ly)
-        for _, f in fits:
-            for xe in (x0, x1):
-                ye = (math.log10(f.c_hat) + f.eta_hat * xe
-                      if f.c_hat > 0 else 0.0)
-                y0, y1 = min(y0, ye), max(y1, ye)
+        if fit is not None:
+            ye = (fit_y(x0), fit_y(x1))
+            y0, y1 = min(y0, *ye), max(y1, *ye)
     else:
         x0, x1, y0, y1 = 0.0, 1.0, 0.0, 1.0
     if x1 - x0 < 1e-12:
@@ -567,17 +544,12 @@ def _scatter_svg(report: StabilityReport) -> str:
         '</text>'
     )
 
-    for name, f in fits:
-        if f.c_hat <= 0:
-            continue
+    if fit is not None:
         xa, xb = x0 + padx, x1 - padx
-        ya = math.log10(f.c_hat) + f.eta_hat * xa
-        yb = math.log10(f.c_hat) + f.eta_hat * xb
-        color = _FIT_COLORS.get(name, "#555555")
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{_svg_num(px(xa))},{_svg_num(py(ya))} '
-            f'{_svg_num(px(xb))},{_svg_num(py(yb))}"/>'
+            '<polyline fill="none" stroke="#d1495b" stroke-width="1.5" '
+            f'points="{_svg_num(px(xa))},{_svg_num(py(fit_y(xa)))} '
+            f'{_svg_num(px(xb))},{_svg_num(py(fit_y(xb)))}"/>'
         )
     for x, y in pts:
         parts.append(

@@ -53,9 +53,6 @@ __all__ = [
     "load_pair",
 ]
 
-PERTURB_MODES = ("bump", "smooth-random", "piecewise")
-
-
 def internal_data(q: ScalarField, u: ScalarField) -> ScalarField:
     """The measured field F = q u^2, nodewise; even in the sign of u."""
     if q.grid != u.grid:

@@ -150,10 +150,13 @@ def test_coefficient_gap_quadratic_growth():
 
 
 def test_coefficient_gap_increasing_in_m():
-    rows = pathology_table(1.0, 2.0, 10, p_list=(1.0, 2.0))
-    for p in (1.0, 2.0, np.inf):
+    rows = pathology_table(1.0, 2.0, 10)
+    assert all(set(row.coef_gaps) == {1.0, np.inf} for row in rows)
+    for p in (1.0, np.inf):
         gaps = [row.coef_gaps[p] for row in rows]
         assert all(a < b for a, b in zip(gaps[:-1], gaps[1:]))
+    gaps = [coefficient_gap(1.0, m, 2.0) for m in range(1, 11)]
+    assert all(a < b for a, b in zip(gaps[:-1], gaps[1:]))
 
 
 def test_h_integral_m_independent_and_positive():

@@ -206,6 +206,20 @@ def test_sweep_samples_ordered_and_complete(smoke_report):
         assert s.flags["recon_converged"]
 
 
+def test_jittered_sweep_reconstructs_from_the_data_that_made_f2():
+    # with jitter, F2 comes from u2 solved against a displaced g2; the
+    # reconstruction must see that boundary data, not the undisplaced g
+    cfg = small_sweep_config(amplitudes=(0.02, 0.1), seeds=2,
+                             d_list=(0.125,), jitter=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_sweep(cfg)
+    assert len(rep.samples) == 4
+    for s in rep.samples:
+        assert s.bdry_gap > 0 and s.flags["recon_converged"]
+        assert s.err_recon[0.125] < cfg.recon_tol
+
+
 def test_sweep_error_monotone_in_margin(smoke_report):
     # enlarging the margin shrinks the region, so the L1 error cannot grow
     for s in smoke_report.samples:
@@ -215,15 +229,16 @@ def test_sweep_error_monotone_in_margin(smoke_report):
 
 def test_sweep_fit_and_diagnostics_attached(smoke_report):
     rep = smoke_report
-    # the true fit is held once, in fits; fit only reads it
-    assert rep.fit is not None and rep.fit is rep.fits["true"]
-    assert "fit" not in {f.name for f in dataclasses.fields(rep)}
-    # err_recon is solver noise (under recon.tol = 1e-8), so it gets no fit
-    assert rep.fit_flags == {"true": "ok"} and set(rep.fits) == {"true"}
+    # one fit, of err_true; err_recon is solver noise (under
+    # recon.tol = 1e-8), so it gets none
+    assert {f.name for f in dataclasses.fields(rep)} == {
+        "samples", "config", "fit", "fit_flag", "diagnostics"}
+    assert rep.fit is not None and rep.fit_flag == "ok"
     assert rep.fit.n_used == 6
+    assert rep.eta_in_range == (0.0 < rep.fit.eta_hat <= 1.2)
     assert rep.diagnostics is not None
     assert rep.diagnostics.weighted is not None
-    assert rep.config_echo == {"sweep.nx": "17"}
+    assert rep.config == small_sweep_config()
     # fitted envelope with 3-sigma slack dominates every usable sample
     for s in rep.samples:
         assert s.err_l1_interior <= rep.fit.envelope(s.epsilon)
@@ -237,7 +252,7 @@ def test_sweep_zero_amplitude_skips_fit():
     assert sample.err_l1_interior == 0.0
     assert not sample.usable
     assert rep.fit is None
-    assert rep.fit_flags["true"] == "skipped"
+    assert rep.fit_flag == "skipped"
     assert not rep.eta_in_range
 
 
@@ -248,7 +263,7 @@ def test_sweep_two_point_fit_passes_through_samples():
         rep = run_sweep(cfg)
     fit = rep.fit
     assert fit is not None and fit.underdetermined
-    assert rep.fit_flags["true"] == "underdetermined"
+    assert rep.fit_flag == "underdetermined"
     assert fit.residual_rms == 0.0
     for s in rep.samples:
         x = math.sqrt(s.epsilon) + s.epsilon
@@ -274,7 +289,7 @@ def test_sweep_flags_failed_pair_and_continues():
     assert sample.flags["failed"]
     assert sample.flags["failure"] == "NearSingularError"
     assert math.isnan(sample.epsilon)
-    assert rep.fit is None and rep.fit_flags["true"] == "skipped"
+    assert rep.fit is None and rep.fit_flag == "skipped"
 
 
 def test_sweep_constructs_one_operator_per_cell_plus_base(monkeypatch):
@@ -329,7 +344,7 @@ def test_sweep_negative_control_weak_data_excluded():
     assert all(not s.flags["h_ok"] for s in rep.samples)
     assert all(not s.usable for s in rep.samples)
     assert rep.fit is None
-    assert rep.fit_flags["true"] == "skipped"
+    assert rep.fit_flag == "skipped"
     assert rep.diagnostics is None
 
 
@@ -340,7 +355,7 @@ def test_sweep_negative_control_coefficient_outside_bounds():
         warnings.simplefilter("ignore")
         rep = run_sweep(cfg)
     assert all(not s.flags["k_ok"] for s in rep.samples)
-    assert rep.fit is None and rep.fit_flags["true"] == "skipped"
+    assert rep.fit is None and rep.fit_flag == "skipped"
 
 
 # --------------------------------------------------------------- emit_report
@@ -373,16 +388,16 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
 
 def test_emit_report_empty_sample_list(tmp_path):
     rep = StabilityReport(
-        samples=(), fits={"true": None},
-        fit_flags={"true": "skipped"},
-        eta_in_range=False, diagnostics=None, config_echo={},
-        d_list=(0.125,),
+        samples=(), config=small_sweep_config(d_list=(0.125,), echo={}),
+        fit=None, fit_flag="skipped", diagnostics=None,
     )
     files = emit_report(rep, tmp_path / "empty")
     assert files["samples"].read_text().count("\n") == 1
     assert files["diagnostics"].read_text().count("\n") == 1
     fit = json.loads(files["fit"].read_text())
     assert fit["fits"]["true"] is None and fit["n_samples"] == 0
+    assert fit["fit_flags"] == {"true": "skipped"}
+    assert fit["d_list"] == [0.125] and fit["config"] == {}
     svg = files["scatter"].read_text()
     assert "<circle" not in svg and "<polyline" not in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
@@ -400,9 +415,8 @@ def test_scatter_keeps_samples_above_the_fit_line_inside_the_plot(tmp_path):
     fit = HolderFit(c_hat=1e-3, eta_hat=1.0, residual_rms=0.0,
                     eta_ci=(1.0, 1.0), n_used=2, n_excluded=0)
     rep = StabilityReport(
-        samples=samples, fits={"true": fit},
-        fit_flags={"true": "ok"}, eta_in_range=True,
-        diagnostics=None, config_echo={}, d_list=(0.125,),
+        samples=samples, config=small_sweep_config(d_list=(0.125,), echo={}),
+        fit=fit, fit_flag="ok", diagnostics=None,
     )
     svg = emit_report(rep, tmp_path / "scatter")["scatter"].read_text()
     x, y, w, h = (float(v) for v in re.search(
@@ -660,8 +674,8 @@ def test_emit_report_unwritable_directory_has_path_context(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
     rep = StabilityReport(
-        samples=(), fits={}, fit_flags={}, eta_in_range=False,
-        diagnostics=None, config_echo={}, d_list=(0.1,),
+        samples=(), config=small_sweep_config(d_list=(0.1,), echo={}),
+        fit=None, fit_flag="skipped", diagnostics=None,
     )
     with pytest.raises(OSError, match="blocked"):
         emit_report(rep, target)
