@@ -22,8 +22,6 @@ sup norms and finite-difference residual checks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,16 +46,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OscillatoryFamily:
-    """One family member: inner radius r, outer radius rr (r < rr), index m."""
+    """One family member: inner radius r, finite outer radius rr (r < rr),
+    index m."""
 
     r: float
     rr: float
     m: int
 
     def __post_init__(self):
-        if not 0 < self.r < self.rr:
+        if not 0 < self.r < self.rr < np.inf:  # refuses NaN too
             raise ContractViolation(
-                f"radii must satisfy 0 < r < rr, got r={self.r}, rr={self.rr}"
+                "radii must satisfy 0 < r < rr < inf, "
+                f"got r={self.r}, rr={self.rr}"
             )
         if self.m < 1:
             raise ContractViolation(f"family index must be >= 1, got {self.m}")
@@ -99,9 +99,9 @@ def coefficient_gap(r: float, m: int, p: float) -> float:
     on |x| < r with constant height A_2m - A_m."""
     height = ((np.pi / 2 + 4 * m * np.pi) ** 2
               - (np.pi / 2 + 2 * m * np.pi) ** 2) / r**2
-    if np.isinf(p):
+    if p == np.inf:
         return height
-    if p < 1:
+    if not p >= 1:  # refuses NaN and -inf too
         raise ContractViolation(f"need p >= 1, got {p}")
     return height * (2.0 * r) ** (1.0 / p)
 
@@ -164,29 +164,55 @@ def _inner_data(a_m: float, x: np.ndarray) -> np.ndarray:
     return a_m * (np.cos(root_a * x) / root_a) ** 2
 
 
-# inner samples per block of _data_gap: bounds each worker's temporaries
+# inner samples per block of _data_gap: bounds its temporaries as m grows
 _BLOCK = 1 << 14
+
+_F32_EPS = 2.0**-23
+
+
+def _screen_slack(r: float, a2: float) -> float:
+    """Bound on |screen - exact| at any inner sample, with room to spare.
+
+    For one member, casting its phase |sqrt(A) x| < sqrt(a2) r to
+    float32 moves cos^2 (which is 1-Lipschitz) by at most
+    2^-24 sqrt(a2) r, and the float32 cos and squaring add a few ulps of
+    2^-24.  The slack doubles that, takes it for both members, and adds
+    1e-12 for the float64 rounding of the exact values; the doubling
+    also absorbs the float32 rounding of the screen threshold.
+    """
+    return 2.0 * (np.sqrt(a2) * r * _F32_EPS + 4.0 * _F32_EPS) + 1e-12
+
+
+def _screen(a_m: float, x: np.ndarray) -> np.ndarray:
+    """float32 estimate of cos(sqrt(A_m) x)^2 = q u^2 on inner samples."""
+    c = np.cos(np.sqrt(a_m) * x, dtype=np.float32)  # phase cast, then cos
+    return np.square(c, out=c)
 
 
 def _data_gap(r: float, rr: float, m: int) -> float:
-    """Sampled sup of |q_2m u_2m^2 - q_m u_m^2| over the inner samples,
-    the largest of the block maxima (NaN propagates as in np.max)."""
+    """Sampled sup of |q_2m u_2m^2 - q_m u_m^2| over the inner samples.
+
+    Each block is screened in float32 first, and the float64 closed form
+    is evaluated only at the samples whose screen value is within twice
+    the slack of the block's largest: the sample holding the exact
+    maximum e* screens at least e* - slack, which is at least
+    best - 2 slack.  The result is therefore the same float as the exact
+    maximum over every inner sample; a non-finite screen value always
+    reaches the exact pass, so NaN propagates as in np.max.
+    """
     lo, hi, step = _inner_range(r, rr, m)
     a1 = OscillatoryFamily(r=r, rr=rr, m=m).a_m
     a2 = OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m
-    block_max = []
+    slack = _screen_slack(r, a2)
+    gap = 0.0
     for start in range(lo, hi, _BLOCK):
         x = np.arange(start, min(start + _BLOCK, hi)) * step + (-rr)
-        block_max.append(np.max(np.abs(_inner_data(a2, x)
-                                       - _inner_data(a1, x))))
-    return float(np.max(block_max, initial=0.0))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        screen = np.abs(_screen(a2, x) - _screen(a1, x))
+        # `not <` keeps NaN, and a NaN best keeps the whole block
+        x = x[~(screen < screen.max() - 2.0 * slack)]
+        gap = np.max(np.abs(_inner_data(a2, x) - _inner_data(a1, x)),
+                     initial=gap)
+    return float(gap)
 
 
 def pathology_table(r: float, rr: float, m_max: int) -> list[PathologyRow]:
@@ -199,28 +225,24 @@ def pathology_table(r: float, rr: float, m_max: int) -> list[PathologyRow]:
     data are evaluated in closed form, A_m (cos(sqrt(A_m) x) / sqrt(A_m))^2,
     the same floats as eval_q * eval_u**2 without their branch and
     domain checks, in blocks of 2^14 samples so that memory stays flat
-    as m grows.  The members are independent, and numpy's cos and
-    arithmetic release the GIL, so their data gaps run on a thread pool
-    with one worker per CPU the process may use; the rows are collected
-    in m order and do not depend on the worker count.  Coefficient gaps
-    are closed form, for p = 1 and p = inf; k_required = A_m names the
-    hypothesis that fails.
+    as m grows.  Each block is screened in float32 and evaluated in
+    float64 only where its maximum can be (see _data_gap), so every
+    data_gap is the exact float64 maximum over the inner samples, the
+    same bytes as evaluating all of them.  Coefficient gaps are closed
+    form, for p = 1 and p = inf; k_required = A_m names the hypothesis
+    that fails.
     """
     if m_max < 1:
         raise ContractViolation(f"m_max must be >= 1, got {m_max}")
-    h_int = h_integral(r, rr)
-    members = range(1, m_max + 1)
-    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
-        gaps = list(pool.map(lambda m: _data_gap(r, rr, m), members))
     rows = []
-    for m, gap in zip(members, gaps):
+    for m in range(1, m_max + 1):
         fam = OscillatoryFamily(r=r, rr=rr, m=m)
         rows.append(PathologyRow(
             m=m,
             a_m=fam.a_m,
-            data_gap=gap,
+            data_gap=_data_gap(r, rr, m),
             coef_gaps={p: coefficient_gap(r, m, p) for p in (1.0, np.inf)},
-            h_integral=h_int,
+            h_integral=h_integral(r, rr),
             k_required=fam.a_m,
         ))
     return rows
@@ -231,7 +253,7 @@ def residual_check(fam: OscillatoryFamily, h: float) -> float:
     an h-grid of (-rr, rr), skipping nodes whose stencil straddles the
     interface |x| = r (u'' jumps there, so the scheme's order-2
     consistency only holds branchwise)."""
-    if h <= 0:
+    if not h > 0:  # refuses NaN too
         raise ContractViolation(f"spacing must be positive, got {h}")
     n = int(round(2.0 * fam.rr / h)) + 1
     x = np.linspace(-fam.rr, fam.rr, n)

@@ -110,7 +110,7 @@ def muckenhoupt_value(u: ScalarField, center, r: float, p: float):
     |u| is floored at TAU_AP inside the negative power; returns
     (value, floor_hits).  Equals 1 exactly for constant fields.
     """
-    if p <= 1.0:
+    if not p > 1.0:  # refuses NaN too
         raise ContractViolation(f"Muckenhoupt exponent needs p > 1, got {p}")
     _require_ball_inside(u.grid, center, r)
     mask = ball_mask(u.grid, center, r)
@@ -134,7 +134,7 @@ def negative_power_integral(u: ScalarField, d: float, delta: float):
     Finiteness under grid refinement is the empirical stand-in for the
     negative-power integrability that controls the Holder exponent.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ContractViolation(f"delta must be positive, got {delta}")
     mask = interior_mask(u.grid, d)
     if not mask.any():
@@ -199,7 +199,7 @@ def level_set_error(q1: ScalarField, q2: ScalarField, u1: ScalarField,
                     t: float) -> LevelSetResult:
     """L1 norm of q1 - q2 over D_t = {q1 u1^2 >= t}; empty level sets
     come back flagged."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ContractViolation(f"level threshold must be positive, got {t}")
     if q1.grid != q2.grid or q1.grid != u1.grid:
         raise ContractViolation("level-set inputs live on different grids")
@@ -213,14 +213,14 @@ def level_set_error(q1: ScalarField, q2: ScalarField, u1: ScalarField,
 
 def delta_from_p(p: float) -> float:
     """Negative-power exponent granted by an A_p weight."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ContractViolation(f"need p > 1, got {p}")
     return 2.0 / (p - 1.0)
 
 
 def eta_from_delta(delta: float) -> float:
     """Holder stability exponent carried by |u|^(-delta) integrability."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ContractViolation(f"need delta > 0, got {delta}")
     return delta / (delta + 2.0)
 

@@ -69,17 +69,24 @@ class Grid:
     def __post_init__(self):
         if self.nx < 3:
             raise ContractViolation(f"nx must be >= 3, got {self.nx}")
-        if self.lx <= 0:
-            raise ContractViolation(f"lx must be positive, got {self.lx}")
+        # written as `not 0 < x < inf` so that NaN is refused too
+        if not 0 < self.lx < np.inf:
+            raise ContractViolation(
+                f"lx must be finite and positive, got {self.lx}"
+            )
         if self.ny == 1:
             if self.ly != 0.0:
                 raise ContractViolation("1D grids must have ly = 0")
         else:
             if self.ny < 3:
                 raise ContractViolation(f"2D grids need ny >= 3, got {self.ny}")
+            if not 0 < self.ly < np.inf:
+                raise ContractViolation(
+                    f"ly must be finite and positive, got {self.ly}"
+                )
             hx = self.lx / (self.nx - 1)
             hy = self.ly / (self.ny - 1)
-            if abs(hx - hy) > _SPACING_RTOL * hx:
+            if not abs(hx - hy) <= _SPACING_RTOL * hx:
                 raise ContractViolation(
                     f"anisotropic spacing: hx={hx!r} vs hy={hy!r}"
                 )
@@ -109,8 +116,8 @@ class Grid:
         return np.linspace(0.0, self.ly, self.ny)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node coordinates as (X, Y), both of shape (ny, nx)."""
-        return np.meshgrid(self.xs(), self.ys())
+        """Node coordinates as (X, Y), both of shape (ny, nx), read-only."""
+        return _node_coordinates(self)
 
     def boundary_distance(self) -> np.ndarray:
         """Distance of every node to the rectangle boundary, shape (ny, nx)."""
@@ -182,6 +189,14 @@ class PriorBounds:
 
 
 @lru_cache(maxsize=64)
+def _node_coordinates(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    X, Y = np.meshgrid(grid.xs(), grid.ys())
+    X.setflags(write=False)
+    Y.setflags(write=False)
+    return X, Y
+
+
+@lru_cache(maxsize=64)
 def _quad_weights(grid: Grid) -> np.ndarray:
     """Trapezoid weights, shape (ny, nx); rows sum to the domain measure."""
     h = grid.h
@@ -215,7 +230,7 @@ def interior_mask(grid: Grid, d: float) -> np.ndarray:
 
 def ball_mask(grid: Grid, center, r: float) -> np.ndarray:
     """Nodes with |node - center| < r (open ball, center-of-node inclusion)."""
-    if r <= 0:
+    if not r > 0:  # refuses NaN too
         raise ContractViolation(f"ball radius must be positive, got {r}")
     cx, cy = as_point(grid, center)
     X, Y = grid.meshgrid()

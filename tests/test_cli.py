@@ -241,7 +241,8 @@ def test_empty_sweep_out_needs_output_directory(tmp_path, monkeypatch, capsys,
     "FIELD v1 x 3 1 1\n",                    # header count is not an integer
     "FIELD v1 1 3 1 1\n" + "1\n" * 3,        # nx = 1 is not a grid
     "FIELD v1 3 1 1 0\n1\nabc\n1\n",        # value is not a number
-], ids=["bad-count", "nx-1", "bad-value"])
+    "FIELD v1 5 5 nan nan\n" + "1\n" * 25,  # extents are not finite
+], ids=["bad-count", "nx-1", "bad-value", "nan-extent"])
 def test_forward_malformed_field_file_names_path(tmp_path, capsys, text):
     bad = tmp_path / "bad.field"
     bad.write_text(text)
@@ -249,6 +250,19 @@ def test_forward_malformed_field_file_names_path(tmp_path, capsys, text):
                  "--out", str(tmp_path / "u.field")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extents", ["nan nan", "inf inf"])
+def test_reconstruct_non_finite_extent_is_contract_error(tmp_path, capsys,
+                                                         extents):
+    bad = tmp_path / "f.field"
+    bad.write_text(f"FIELD v1 5 5 {extents}\n" + "1\n" * 25)
+    out = tmp_path / "recon"
+    code = main(["reconstruct", "--f", str(bad), "--g", "coscos",
+                 "--out", str(out)])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_counterexample_writes_table(tmp_path, capsys):
@@ -266,6 +280,16 @@ def test_counterexample_bad_radii_is_contract_error(tmp_path, capsys):
     code = main(["counterexample", "--r", "2.0", "--R", "1.0",
                  "--mmax", "3", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("r, rr", [("1.0", "inf"), ("nan", "2.0")])
+def test_counterexample_non_finite_radius_is_contract_error(tmp_path, capsys,
+                                                            r, rr):
+    # an infinite outer radius once overflowed the sample count
+    code = main(["counterexample", "--r", r, "--R", rr,
+                 "--mmax", "3", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "radii" in capsys.readouterr().err
 
 
 def test_counterexample_unwritable_path_is_io_error(tmp_path, capsys):

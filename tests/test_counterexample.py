@@ -5,12 +5,16 @@ import csv
 import numpy as np
 import pytest
 
-from hybridlab import ContractViolation, counterexample
+from hybridlab import ContractViolation
 from hybridlab.counterexample import (
     OscillatoryFamily,
     _BLOCK,
+    _data_gap,
+    _inner_data,
     _inner_range,
     _sample_count,
+    _screen,
+    _screen_slack,
     coefficient_gap,
     eval_q,
     eval_u,
@@ -101,15 +105,39 @@ def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max):
         assert row.data_gap == whole
 
 
-def test_table_rows_do_not_depend_on_worker_count(monkeypatch):
-    # members run on a thread pool; more workers than cores, or one,
-    # give the same rows in the same order
-    tables = []
-    for workers in (1, 7):
-        monkeypatch.setattr(counterexample, "_cpu_count", lambda: workers)
-        tables.append(pathology_table(1.0, 2.0, 40))
-    assert tables[0] == tables[1]
-    assert [row.m for row in tables[1]] == list(range(1, 41))
+def _unscreened_gap(r, rr, m):
+    # the sampled sup with every inner sample evaluated in float64
+    x = np.linspace(-rr, rr, _sample_count(r, rr, m))
+    x = x[np.abs(x) < r]
+    data = []
+    for fam in (OscillatoryFamily(r=r, rr=rr, m=m),
+                OscillatoryFamily(r=r, rr=rr, m=2 * m)):
+        root_a = np.sqrt(fam.a_m)
+        data.append(fam.a_m * (np.cos(root_a * x) / root_a) ** 2)
+    return float(np.max(np.abs(data[1] - data[0]), initial=0.0))
+
+
+def test_screened_table_equals_unscreened_evaluation():
+    # the benchmark's table: every row is the exact float64 maximum, so
+    # the float32 screen cannot change family.csv
+    rows = pathology_table(1.0, 2.0, 400)
+    assert [row.m for row in rows] == list(range(1, 401))
+    for row in rows:
+        assert row.data_gap == _unscreened_gap(1.0, 2.0, row.m), row.m
+
+
+@pytest.mark.parametrize("r, rr", [(0.3, 2.5), (1.7, 1.8), (0.999, 1.0),
+                                   (2.0, 5.0), (1.0, 2.0)])
+@pytest.mark.parametrize("m", [1, 2, 7, 50, 200])
+def test_screen_is_within_its_slack_and_exact(r, rr, m):
+    lo, hi, step = _inner_range(r, rr, m)
+    x = np.arange(lo, hi) * step + (-rr)
+    a1 = OscillatoryFamily(r=r, rr=rr, m=m).a_m
+    a2 = OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m
+    exact = np.abs(_inner_data(a2, x) - _inner_data(a1, x))
+    screen = np.abs(_screen(a2, x) - _screen(a1, x))
+    assert np.max(np.abs(screen - exact)) <= _screen_slack(r, a2)
+    assert _data_gap(r, rr, m) == _unscreened_gap(r, rr, m)
 
 
 def test_inner_samples_are_the_masked_linspace():

@@ -27,7 +27,12 @@ from hybridlab.diagnostics import (
     write_diagnostics_csv,
     write_diagnostics_summary,
 )
-from hybridlab.fields import interior_mask, mask_measure
+from hybridlab.counterexample import (
+    OscillatoryFamily,
+    coefficient_gap,
+    residual_check,
+)
+from hybridlab.fields import ball_mask, interior_mask, mask_measure
 from hybridlab.synthesis import make_pair, perturb_coefficient
 
 BOUNDS = PriorBounds(k_bound=4.0, e_bound=10.0, h_bound=0.2, d_margin=0.1)
@@ -314,6 +319,25 @@ def test_level_set_rejects_nonpositive_threshold():
     pair = make_test_pair()
     with pytest.raises(ContractViolation):
         level_set_error(pair.q1, pair.q2, pair.u1, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: ball_mask(f.grid, (0.5, 0.5), np.nan),
+    lambda f: muckenhoupt_value(f, (0.5, 0.5), 0.2, np.nan),
+    lambda f: delta_from_p(np.nan),
+    lambda f: negative_power_integral(f, 0.1, np.nan),
+    lambda f: eta_from_delta(np.nan),
+    lambda f: level_set_error(f, f, f, np.nan),
+    lambda f: coefficient_gap(1.0, 1, np.nan),
+    lambda f: coefficient_gap(1.0, 1, -np.inf),
+    lambda f: residual_check(OscillatoryFamily(r=1.0, rr=2.0, m=1), np.nan),
+], ids=["ball_mask-r", "muckenhoupt-p", "delta_from_p", "negative_power-delta",
+        "eta_from_delta", "level_set-t", "coefficient_gap-p",
+        "coefficient_gap-minus-inf", "residual_check-h"])
+def test_positivity_guards_refuse_nan(call):
+    f = ScalarField.constant(fine_square(11), 1.0)
+    with pytest.raises(ContractViolation):
+        call(f)
 
 
 # --- aggregation and files --------------------------------------------------

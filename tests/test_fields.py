@@ -52,6 +52,26 @@ def test_grid_rejects_bad_inputs():
         Grid(nx=5, lx=-1.0)
 
 
+@pytest.mark.parametrize("lx, ny, ly", [
+    (np.nan, 1, 0.0), (np.inf, 1, 0.0), (np.nan, 5, np.nan),
+    (np.inf, 5, np.inf), (1.0, 5, np.nan), (1.0, 5, np.inf), (1.0, 5, -1.0),
+])
+def test_grid_rejects_non_finite_extents(lx, ny, ly):
+    # the anisotropy test alone is False for NaN and for inf - inf
+    with pytest.raises(ContractViolation):
+        Grid(nx=5, ny=ny, lx=lx, ly=ly)
+
+
+def test_meshgrid_is_cached_and_read_only():
+    g = Grid(nx=5, ny=3, lx=2.0, ly=1.0)
+    X, Y = g.meshgrid()
+    assert g.meshgrid()[0] is X
+    np.testing.assert_array_equal(X, np.meshgrid(g.xs(), g.ys())[0])
+    np.testing.assert_array_equal(Y, np.meshgrid(g.xs(), g.ys())[1])
+    with pytest.raises(ValueError):
+        Y[0, 0] = 1.0
+
+
 def test_rectangular_grid_allows_matched_spacing():
     g = Grid(nx=21, ny=11, lx=2.0, ly=1.0)
     assert g.h == pytest.approx(0.1)
@@ -353,6 +373,14 @@ def test_load_field_rejects_malformed(tmp_path):
         load_field(p)
     p.write_text("FIELD v1 3 1 1.0 0.0\n1\n2\n")
     with pytest.raises(ContractViolation):
+        load_field(p)
+
+
+@pytest.mark.parametrize("extents", ["nan nan", "inf inf", "1 nan", "inf 1"])
+def test_load_field_rejects_non_finite_extents(tmp_path, extents):
+    p = tmp_path / "bad.field"
+    p.write_text(f"FIELD v1 5 5 {extents}\n" + "1\n" * 25)
+    with pytest.raises(ContractViolation, match=re.escape(str(p))):
         load_field(p)
 
 
