@@ -256,6 +256,10 @@ def residual_check(fam: OscillatoryFamily, h: float) -> float:
     if not h > 0:  # refuses NaN too
         raise ContractViolation(f"spacing must be positive, got {h}")
     n = int(round(2.0 * fam.rr / h)) + 1
+    if n < 3:  # h = inf gives one node
+        raise ContractViolation(
+            f"grid too coarse: spacing {h} leaves {n} nodes, a stencil "
+            "needs 3")
     x = np.linspace(-fam.rr, fam.rr, n)
     step = x[1] - x[0]
     u = eval_u(fam, x)

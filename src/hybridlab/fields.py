@@ -221,11 +221,19 @@ def interior_mask(grid: Grid, d: float) -> np.ndarray:
 
     d = 0 selects all non-boundary nodes; a d at or beyond the inradius
     yields an empty mask, which is a valid (flagged-empty) result rather
-    than an error.
+    than an error.  Like Grid.meshgrid, the mask is built once per
+    (grid, d) and returned read-only; copy it before editing.
     """
     if not d >= 0:  # refuses NaN too
         raise ContractViolation(f"interior margin d must be >= 0, got {d}")
-    return grid.boundary_distance() > d
+    return _interior_mask(grid, float(d))
+
+
+@lru_cache(maxsize=64)
+def _interior_mask(grid: Grid, d: float) -> np.ndarray:
+    mask = grid.boundary_distance() > d
+    mask.setflags(write=False)
+    return mask
 
 
 def ball_mask(grid: Grid, center, r: float) -> np.ndarray:

@@ -18,18 +18,27 @@ case the boundary value problem degrades from well posed to ill posed.
 Each operator is factored once by sparse LU (SuperLU); that factor
 serves every solve and, as the shift-invert operator, the estimate of
 the spectral gap min |lambda| that every solve carries, so near-singular
-systems are flagged instead of silently amplifying noise.  The gap is
-one shift-invert Lanczos run (ARPACK) for the eigenvalue of A^-1 of
-largest modulus on a 4-vector basis.  One eigenvalue is wanted, and the
-restarted 4-vector basis finds it in 7-11 LU solves on the sweep sizes
-nx = 33 to 97 (q = 8, 16), where the default 20-vector basis spends at
-least 21; against dense eigvalsh it reports the same value to 1e-12,
-also on hard spectra: q midway between the two lowest eigenvalues,
-which puts three eigenvalues at the smallest modulus, or q = 64.  The
-columns are ordered by minimum degree on the pattern of A + A^T: the
-matrix is symmetric, and on the 5-point stencil this ordering gives a
-sparser factor than SuperLU's default COLAMD, which is meant for
-unsymmetric matrices (0.57 of its fill at nx = 65, q = 8).  The solver
+systems are flagged instead of silently amplifying noise.
+
+The unknowns are numbered in elimination order, minimum degree on the
+pattern of A + A^T, which SuperLU computes once per grid on the
+Laplacian: the diagonal is stored even where q makes it zero, so the
+pattern and its ordering do not depend on q, and each operator is
+assembled in that order and factored without reordering.  On the
+symmetric 5-point matrix this gives the factor that ordering each
+operator afresh gives, 0.57 of the fill of SuperLU's default COLAMD
+(nx = 65, q = 8).
+
+The gap is one shift-invert Lanczos run (ARPACK) for the eigenvalue of
+A^-1 of largest modulus on a 6-vector basis from a fixed start vector:
+7-10 LU solves at the sweep sizes nx = 33 to 97 (q = 8, 16), against 21
+on the default 20 vectors, and at most 22 over q from 8 to 64, nx = 33
+to 97 and bumps of amplitude up to 8.  A 4-vector basis stalls on some
+of these: at nx = 33, q = 34.5 plus a bump (amplitude 0.5, seed 1) it
+spends 497 solves, at nx = 65, q = 64 plus a bump (0.5, seed 2) 2,099.
+Against dense eigvalsh the estimate agrees to 1e-10 relative, also on
+hard spectra: q midway between the two lowest eigenvalues, which puts
+three eigenvalues at the smallest modulus, or q = 64.  The solver
 takes no prior: the range 1/K <= q <= K is a hypothesis on the
 experiment, which synthesis.make_pair records as each pair's k_ok flag.
 """
@@ -37,7 +46,7 @@ experiment, which synthesis.make_pair records as each pair's k_ok flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +54,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ContractViolation, NearSingularError, SolverFailure
-from .fields import ScalarField, boundary_field, interior_mask
+from .fields import Grid, ScalarField, boundary_field, interior_mask
 
 __all__ = [
     "DiscreteOperator",
@@ -82,9 +91,8 @@ class EigenGap:
     converged: bool = True
 
 
-# Lanczos basis of the gap's eigsh call (k = 1 < ncv <= n, as n > 3 there):
-# 4 vectors need fewer LU solves than the default 20 spend on one basis
-_GAP_NCV = 4
+# Lanczos basis of the gap's eigsh call (k = 1 < ncv <= n, as n > 3 there)
+_GAP_NCV = 6
 
 
 def stencil(u: np.ndarray, h: float) -> np.ndarray:
@@ -97,13 +105,48 @@ def stencil(u: np.ndarray, h: float) -> np.ndarray:
     return lap / h**2
 
 
+@lru_cache(maxsize=16)
+def _pattern(grid: Grid):
+    """What every operator on the grid shares, read-only: the interior
+    Laplacian (q = 0) with its unknowns in elimination order, the
+    row-major interior index and the flat grid index of each unknown,
+    and the positions of the diagonal in the matrix data."""
+    interior = interior_mask(grid, 0.0)
+    n = int(interior.sum())
+    # each arm couples an interior unknown (row) to its neighbour
+    # (column) in the E, W, N, S order of the stencil
+    idx = np.arange(n).reshape(1 if grid.is_1d else grid.ny - 2, grid.nx - 2)
+    arms = [(idx[:, :-1], idx[:, 1:]), (idx[:, 1:], idx[:, :-1])]
+    if not grid.is_1d:
+        arms += [(idx[:-1], idx[1:]), (idx[1:], idx[:-1])]
+    h2 = grid.h * grid.h
+    rows = np.concatenate([idx.ravel()] + [r.ravel() for r, _ in arms])
+    cols = np.concatenate([idx.ravel()] + [c.ravel() for _, c in arms])
+    vals = np.full(rows.size, 1.0 / h2)
+    vals[:n] = -len(arms) / h2
+    natural = sp.csc_array((vals, (rows, cols)), shape=(n, n))
+    # perm_c[i] is the position of unknown i in the elimination order
+    rank = splu(natural, permc_spec="MMD_AT_PLUS_A").perm_c
+    lap = sp.csc_array((vals, (rank[rows], rank[cols])), shape=(n, n))
+    column = np.repeat(np.arange(n), np.diff(lap.indptr))
+    order = np.argsort(rank)
+    nodes = np.flatnonzero(interior)[order]
+    diag = np.flatnonzero(lap.indices == column)
+    for arr in (order, nodes, diag, lap.data, lap.indices, lap.indptr):
+        arr.setflags(write=False)
+    return order, nodes, lap, diag
+
+
 class DiscreteOperator:
     """Interior system for laplacian + q with Dirichlet elimination.
 
-    Immutable once assembled.  The sparse LU factor and the spectral gap
-    are computed once on first use and cached on the instance; every
-    solve against a new load vector and the gap estimate share that one
-    factor.
+    Immutable once assembled.  The unknowns are numbered in the grid's
+    elimination order: unknown k is interior node order[k] in row-major
+    order, grid node nodes[k] in the flattened grid, and matrix, load
+    vectors and solutions all use that numbering.  The sparse LU factor
+    and the spectral gap are computed once on first use and cached on
+    the instance; every solve against a new load vector and the gap
+    estimate share that one factor.
     """
 
     def __init__(self, q: ScalarField):
@@ -111,49 +154,41 @@ class DiscreteOperator:
         self.grid = grid
         self.q = q
         self.h = grid.h
-
-        self.interior = interior_mask(grid, 0.0)
-        self.n = int(self.interior.sum())
-
-        # each arm couples an interior unknown (row) to its neighbour
-        # (column) in the E, W, N, S order of the stencil
-        idx = np.arange(self.n).reshape(1 if grid.is_1d else grid.ny - 2,
-                                        grid.nx - 2)
-        arms = [(idx[:, :-1], idx[:, 1:]), (idx[:, 1:], idx[:, :-1])]
-        if not grid.is_1d:
-            arms += [(idx[:-1], idx[1:]), (idx[1:], idx[:-1])]
-        h2 = self.h * self.h
-        rows = np.concatenate([idx.ravel()] + [r.ravel() for r, _ in arms])
-        cols = np.concatenate([idx.ravel()] + [c.ravel() for _, c in arms])
-        vals = np.full(rows.size, 1.0 / h2)
-        vals[:self.n] = -len(arms) / h2 + q.values[self.interior]
-        self.matrix = sp.csr_array((vals, (rows, cols)),
-                                   shape=(self.n, self.n))
-
-    def load_vector(self, g, source: ScalarField | None = None) -> np.ndarray:
-        """Right-hand side for boundary data g and optional volume source s,
-        the source entering as  laplacian(u) + q u = s."""
-        return self._load(boundary_field(self.grid, g), source)
+        self.order, self.nodes, lap, diag = _pattern(grid)
+        self.n = self.order.size
+        vals = lap.data.copy()
+        vals[diag] += q.values.take(self.nodes)
+        self.matrix = sp.csc_array((vals, lap.indices, lap.indptr),
+                                   shape=lap.shape)
 
     def _load(self, full: np.ndarray, source: ScalarField | None) -> np.ndarray:
-        """load_vector from the boundary field (zero inside)."""
-        b = -stencil(full, self.h).ravel()
+        """Right-hand side for the boundary field full (zero inside) and
+        an optional volume source s, the source entering as
+        laplacian(u) + q u = s."""
+        b = -stencil(full, self.h).take(self.order)
         if source is not None:
             if source.grid != self.grid:
                 raise ContractViolation("source lives on another grid")
-            b += source.values[self.interior]
+            b += source.values.take(self.nodes)
         return b
 
     @cached_property
     def _lu(self):
-        """Sparse LU factor of the interior matrix, or None when SuperLU
-        finds it exactly singular."""
+        """Sparse LU factor of the interior matrix, already in the grid's
+        elimination order, or None when SuperLU finds it exactly
+        singular."""
+        # SuperLU gets a copy.  Freed on return, it leaves room below the
+        # factor for the arrays a solve keeps (u, then F in a pair), so
+        # glibc can trim the heap once the factor is freed; factoring
+        # the matrix itself raised a two-cell nx = 129 sweep's peak RSS
+        # from 85 to 97 MB
         try:
-            return splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            return splu(self.matrix.copy(), permc_spec="NATURAL")
         except RuntimeError:
             return None
 
     def residual_linf(self, x: np.ndarray, b: np.ndarray) -> float:
+        """||A x - b||_inf, x and b numbered as the unknowns."""
         return float(np.max(np.abs(self.matrix @ x - b), initial=0.0))
 
     def eigen_gap(self) -> EigenGap:
@@ -170,9 +205,11 @@ class DiscreteOperator:
         opinv = LinearOperator(self.matrix.shape, matvec=self._lu.solve,
                                dtype=float)
         try:
-            # a fixed start vector makes the estimate reproducible; eigsh
-            # would otherwise draw one from OS entropy
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
+            # a fixed start vector makes the estimate reproducible (eigsh
+            # would otherwise draw one from OS entropy); drawn in the
+            # natural numbering, it does not depend on the ordering
+            rng = np.random.default_rng(0)
+            v0 = rng.uniform(-1.0, 1.0, self.n)[self.order]
             lam = eigsh(self.matrix, k=1, sigma=0.0, which="LM", OPinv=opinv,
                         v0=v0, ncv=_GAP_NCV, return_eigenvectors=False,
                         tol=1e-9)
@@ -206,7 +243,7 @@ class DiscreteOperator:
         threshold = 1e-6 * (float(np.max(np.abs(self.q.values)))
                             + (2.0 if self.grid.is_1d else 4.0) / self.h**2)
         ok = res <= tol * float(np.max(np.abs(b), initial=0.0))
-        full[self.interior] = x
+        np.put(full, self.nodes, x)
         report = SolveReport(
             u=ScalarField(self.grid, full),
             residual_linf=res,

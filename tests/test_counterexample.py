@@ -252,6 +252,10 @@ def test_residual_stiffness_scaling():
 def test_residual_rejects_bad_input():
     with pytest.raises(ContractViolation):
         residual_check(FAM1, 0.0)
+    # spacings too coarse for a three-node stencil, including one node
+    for h in (3.0, 10.0, np.inf):
+        with pytest.raises(ContractViolation, match="too coarse"):
+            residual_check(FAM1, h)
 
 
 # --- csv --------------------------------------------------------------------

@@ -200,6 +200,18 @@ def test_interior_mask_refuses_nan_margin():
         interior_mask(g, float("nan"))
 
 
+def test_interior_mask_is_shared_and_read_only():
+    # built once per (grid, d) like Grid.meshgrid, so no caller may edit it
+    g = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
+    m = interior_mask(g, 0.125)
+    assert interior_mask(Grid(nx=9, ny=9, lx=1.0, ly=1.0), 0.125) is m
+    assert interior_mask(g, 0) is interior_mask(g, 0.0)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[4, 4] = False
+    np.testing.assert_array_equal(m, g.boundary_distance() > 0.125)
+
+
 def test_ball_mask_open_and_centered():
     g = Grid(nx=5, ny=5, lx=1.0, ly=1.0)
     m = ball_mask(g, (0.5, 0.5), 0.25)  # strict: only the center node

@@ -10,7 +10,7 @@ import pytest
 
 import hybridlab.forward
 from hybridlab import Grid, NearSingularError, ScalarField
-from hybridlab.fields import boundary_values
+from hybridlab.fields import boundary_field, boundary_values, interior_mask
 from hybridlab.forward import DiscreteOperator, solve_dirichlet, stencil
 
 
@@ -43,7 +43,7 @@ def test_dense_assembly_oracle(grid, g):
     q = ScalarField.constant(grid, 2.0)
     gvec = boundary_values(grid, g)
     op = DiscreteOperator(q)
-    b = op.load_vector(gvec)
+    b = op._load(boundary_field(grid, gvec), None)
 
     # independent dense assembly: loop over interior nodes in row-major order
     h = grid.h
@@ -67,13 +67,17 @@ def test_dense_assembly_oracle(grid, g):
             else:
                 b_ref[row] -= gfull[nj, ni] / h**2
 
-    np.testing.assert_array_equal(op.matrix.toarray(), a_ref)
-    np.testing.assert_array_equal(b, b_ref)
+    # the operator numbers its unknowns in elimination order: unknown k
+    # is the oracle's row op.order[k] and grid node op.nodes[k]
+    assert sorted(op.order) == list(range(n))
+    np.testing.assert_array_equal(
+        op.nodes, np.flatnonzero(interior_mask(grid, 0.0))[op.order])
+    np.testing.assert_array_equal(op.matrix.toarray(),
+                                  a_ref[np.ix_(op.order, op.order)])
+    np.testing.assert_array_equal(b, b_ref[op.order])
 
 
 def op_boundary_nodes(grid):
-    from hybridlab.fields import interior_mask
-
     j, i = np.nonzero(~interior_mask(grid, 0.0))
     return zip(i, j)
 
@@ -89,8 +93,9 @@ def test_matrix_and_stencil_are_one_operator(grid):
     u = rng.uniform(-1.0, 1.0, grid.shape)
     q = ScalarField(grid, rng.uniform(0.5, 3.0, grid.shape))
     op = DiscreteOperator(q)
-    got = op.matrix @ u[op.interior] - op.load_vector(ScalarField(grid, u))
-    want = stencil(u, grid.h).ravel() + q.values[op.interior] * u[op.interior]
+    trace = boundary_field(grid, ScalarField(grid, u))
+    got = op.matrix @ u.take(op.nodes) - op._load(trace, None)
+    want = stencil(u, grid.h).take(op.order) + (q.values * u).take(op.nodes)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -181,29 +186,48 @@ def test_splu_path_used_and_contract_holds():
     grid = Grid(nx=61, ny=61, lx=1.0, ly=1.0)  # 3481 unknowns
     q = ScalarField.constant(grid, 2.0)
     op = DiscreteOperator(q)
-    b = op.load_vector(coscos)
+    b = stencil(boundary_field(grid, coscos), grid.h)
     rep = op.solve(coscos, tol=1e-9)
     assert rep.method == "splu"
     assert rep.residual_linf <= 1e-9 * np.max(np.abs(b))
 
 
-def test_one_factorization_per_operator(monkeypatch):
+def _count_splu(monkeypatch):
+    """The permc_spec of every splu call in hybridlab.forward, from a
+    cleared per-grid cache."""
     calls = []
     real_splu = hybridlab.forward.splu
 
     def counting_splu(matrix, **kwargs):
-        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-        calls.append(matrix.shape)
+        calls.append(kwargs["permc_spec"])
         return real_splu(matrix, **kwargs)
 
     monkeypatch.setattr(hybridlab.forward, "splu", counting_splu)
+    hybridlab.forward._pattern.cache_clear()
+    return calls
+
+
+def test_one_factorization_per_operator(monkeypatch):
+    # the grid's ordering is computed once; each operator is factored
+    # once, already in that order, and the factor serves every solve
+    calls = _count_splu(monkeypatch)
     grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
     op = DiscreteOperator(ScalarField.constant(grid, 2.0))
     for g in (coscos, 1.0, coscos):
         assert op.solve(g).method == "splu"
     assert op.eigen_gap().converged
     assert op.solve(0.5, source=ScalarField.constant(grid, 1.0)).converged
-    assert calls == [(op.n, op.n)]
+    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    op2 = DiscreteOperator(ScalarField.constant(grid, 3.0))
+    assert op2.solve(coscos).converged and op2.eigen_gap().converged
+    assert op2.nodes is op.nodes
+    assert calls == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+
+
+def _natural(op):
+    """op.matrix with its unknowns back in row-major order."""
+    rank = np.argsort(op.order)
+    return op.matrix[rank][:, rank].tocsc()
 
 
 def test_symmetric_ordering_thins_the_factor_and_keeps_the_gap():
@@ -213,12 +237,13 @@ def test_symmetric_ordering_thins_the_factor_and_keeps_the_gap():
 
     grid = Grid(nx=65, ny=65, lx=1.0, ly=1.0)
     op = DiscreteOperator(ScalarField.constant(grid, 8.0))
-    colamd = splu(op.matrix.tocsc(), permc_spec="COLAMD")
+    natural = _natural(op)
+    colamd = splu(natural, permc_spec="COLAMD")
     assert (op._lu.L.nnz + op._lu.U.nnz
             <= 0.6 * (colamd.L.nnz + colamd.U.nnz))
-    opinv = LinearOperator(op.matrix.shape, matvec=colamd.solve, dtype=float)
+    opinv = LinearOperator(natural.shape, matvec=colamd.solve, dtype=float)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.n)
-    lam = eigsh(op.matrix, k=1, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
+    lam = eigsh(natural, k=1, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
                 return_eigenvectors=False, tol=1e-9)
     assert op.eigen_gap().value == pytest.approx(abs(lam[0]), rel=1e-10)
 
@@ -268,23 +293,66 @@ def test_eigen_gap_against_dense_oracle(grid, q):
                                           rel=0.02)
 
 
-def test_eigen_gap_lu_solve_count():
-    # the 4-vector Lanczos basis finds the gap in few shift-invert solves;
-    # the default 20-vector basis spends 21 here
-    class CountingFactor:
-        def __init__(self, lu):
-            self.lu, self.calls = lu, 0
+@pytest.mark.parametrize("grid, q", [
+    (Grid(nx=33, ny=33, lx=1.0, ly=1.0), _bump),
+    (Grid(nx=65, ny=65, lx=1.0, ly=1.0), 16.0),
+    (Grid(nx=41, ny=21, lx=2.0, ly=1.0), _bump),
+    (Grid(nx=101, lx=1.0), 2.0),
+], ids=["bump-33", "q16-65", "rectangle", "1d"])
+def test_cached_ordering_gives_the_per_operator_factor(grid, q):
+    # the grid's ordering, computed once, fills the factor exactly as
+    # ordering this operator afresh by minimum degree on A + A^T would
+    from scipy.sparse.linalg import splu
 
-        def solve(self, b):
-            self.calls += 1
-            return self.lu.solve(b)
+    q = (ScalarField.from_function(grid, q) if callable(q)
+         else ScalarField.constant(grid, q))
+    op = DiscreteOperator(q)
+    fresh = splu(_natural(op), permc_spec="MMD_AT_PLUS_A")
+    assert op._lu.L.nnz + op._lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+    b = np.random.default_rng(3).normal(size=op.n)
+    x = op._lu.solve(b[op.order])
+    np.testing.assert_allclose(x, fresh.solve(b)[op.order], rtol=1e-10,
+                               atol=1e-10 * np.max(np.abs(x)))
 
-    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
-    op = DiscreteOperator(ScalarField.constant(grid, 8.0))
+
+class CountingFactor:
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def _gap_solves(q):
+    """(gap, number of LU solves the gap estimate spends) for q."""
+    op = DiscreteOperator(q)
     counting = CountingFactor(op._lu)
     op.__dict__["_lu"] = counting
-    assert op.eigen_gap().converged
-    assert 0 < counting.calls <= 12
+    return op.eigen_gap(), counting.calls
+
+
+def test_eigen_gap_lu_solve_count():
+    # the 6-vector Lanczos basis finds the gap in few shift-invert solves;
+    # the default 20-vector basis spends 21 here
+    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
+    gap, calls = _gap_solves(ScalarField.constant(grid, 8.0))
+    assert gap.converged
+    assert 0 < calls <= 12
+
+
+def test_eigen_gap_does_not_stall_on_a_bump():
+    # a 4-vector basis spent 497 LU solves on this coefficient; 6 spend 16
+    from hybridlab.synthesis import perturb_coefficient
+
+    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
+    q = perturb_coefficient(ScalarField.constant(grid, 34.5), "bump", 0.5,
+                            1).field
+    gap, calls = _gap_solves(q)
+    assert gap.converged
+    assert 0 < calls <= 30
+    lam = np.linalg.eigvalsh(DiscreteOperator(q).matrix.toarray())
+    assert gap.value == pytest.approx(np.min(np.abs(lam)), rel=1e-9)
 
 
 def test_unconverged_gap_reaches_the_solve_report(monkeypatch):

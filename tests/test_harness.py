@@ -314,6 +314,28 @@ def test_sweep_constructs_one_operator_per_cell_plus_base(monkeypatch):
     assert len(built) == cells + 1
 
 
+def test_sweep_orders_its_grid_once_and_factors_each_operator_once(
+        monkeypatch):
+    # the minimum-degree ordering belongs to the grid: one sweep computes
+    # it once, then factors its N+1 operators in that order
+    calls = []
+    real_splu = hybridlab.forward.splu
+
+    def counting_splu(matrix, **kwargs):
+        calls.append(kwargs["permc_spec"])
+        return real_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(hybridlab.forward, "splu", counting_splu)
+    hybridlab.forward._pattern.cache_clear()
+    cfg = small_sweep_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_sweep(cfg)
+    cells = len(cfg.amplitudes) * cfg.seeds
+    assert len(rep.samples) == cells
+    assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (cells + 1)
+
+
 def test_sweep_base_solve_failure_fails_every_cell():
     # the base coefficient sits on a discrete eigenvalue: every cell
     # carries the base solve's exception

@@ -55,8 +55,12 @@ def test_zero_measurement_returns_harmonic_extension():
     Grid(nx=41, lx=2.0),
     Grid(nx=17, ny=17, lx=1.0, ly=1.0),
     Grid(nx=33, ny=17, lx=2.0, ly=1.0),
-], ids=["1d", "square", "rectangle"])
+    Grid(nx=131, lx=2.0),
+    Grid(nx=131, ny=17, lx=8.125, ly=1.0),
+], ids=["1d", "square", "rectangle", "1d-fft", "rectangle-fft-x"])
 def test_sine_transform_solve_matches_sparse_lu(grid):
+    # axes of up to 128 interior nodes take the sine matrix, longer ones
+    # the FFT: the last two grids have a 129-node axis
     rng = np.random.default_rng(5)
     source = rng.normal(size=grid.shape)
     g = g_from_spec(grid, "coscos")
@@ -71,8 +75,25 @@ def test_sine_transform_solve_matches_sparse_lu(grid):
     np.testing.assert_array_equal(u[edge], ref.u.values[edge])
     # the residual contract, measured with the assembled sparse matrix
     op = DiscreteOperator(zero)
-    b = op.load_vector(g, ScalarField(grid, source))
-    assert op.residual_linf(u[op.interior], b) <= SOLVER_TOL * np.max(np.abs(b))
+    b = op._load(boundary_field(grid, g), ScalarField(grid, source))
+    assert (op.residual_linf(u.take(op.nodes), b)
+            <= SOLVER_TOL * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("m", [1, 31, 128, 129, 300])
+def test_sine_transform_is_its_defining_sum(m):
+    # both sides of the threshold: the sine matrix up to 128 nodes, the
+    # FFT of the odd extension beyond
+    x = np.random.default_rng(m).normal(size=(3, m))
+    j = np.arange(1, m + 1)
+    # the angle reduced modulo 2 pi in integers first, so the sum is
+    # evaluated independently of the transform's own sine matrix
+    want = x @ np.sin(np.pi * (np.outer(j, j) % (2 * m + 2)) / (m + 1))
+    got = reconstruction._dst1(x)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * m * np.max(np.abs(x)))
+    if m <= reconstruction._SINE_MATRIX_MAX:
+        assert not reconstruction._sine_matrix(m).flags.writeable
 
 
 def test_sine_transform_rejects_fields_of_another_shape():
