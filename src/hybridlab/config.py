@@ -1,9 +1,10 @@
 """Flat key=value configuration and field/boundary specification strings.
 
 Config files are plain text: one `key = value` per line, `#` comments,
-blank lines ignored.  Every key is namespaced (solver.*, recon.*,
-sweep.*) and unknown namespaces are rejected so typos fail loud.  The
-sweep settings are read in one place, harness.SweepConfig.from_config.
+blank lines ignored.  parse_config only splits the lines; the keys are
+namespaced (solver.*, recon.*, sweep.*) and read, defaulted from
+DEFAULTS and checked in one place, harness.SweepConfig.from_config,
+which refuses a key it does not know, so a typo fails loud there.
 
 Field and boundary data are described by small spec strings usable both
 in configs and on the command line:
@@ -26,27 +27,23 @@ from .fields import Grid, ScalarField, boundary_values, load_field
 __all__ = [
     "DEFAULTS",
     "parse_config",
-    "get_float",
-    "get_int",
-    "get_float_list",
     "field_from_spec",
     "g_from_spec",
 ]
 
+# the settings a config may leave out; SweepConfig.from_config reads
+# every mapping over these
 DEFAULTS = {
     "solver.tol": "1e-9",
     "recon.tol": "1e-8",
     "recon.max_iter": "200",
-    "recon.tau": "0",
     "sweep.jitter": "0",
 }
 
-_NAMESPACES = ("solver.", "recon.", "sweep.")
-
 
 def parse_config(path) -> dict:
-    """Read a flat key=value file over the documented defaults."""
-    cfg = dict(DEFAULTS)
+    """The key=value pairs of a flat config file, as strings."""
+    cfg = {}
     path = Path(path)
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -57,19 +54,15 @@ def parse_config(path) -> dict:
                 f"{path}:{lineno}: expected 'key = value', got {raw!r}"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        if not key.startswith(_NAMESPACES):
-            raise ContractViolation(
-                f"{path}:{lineno}: unknown namespace in key {key!r}"
-            )
         cfg[key] = value
     return cfg
 
 
 def _read(cfg: dict, key: str, parse, default=None):
-    """parse(cfg[key]), or default when absent.  A missing key without a
-    default, a value that does not parse or a non-finite float raises
-    ContractViolation naming the key."""
-    raw = cfg.get(key)
+    """parse(cfg.pop(key)), or default when absent.  A missing key
+    without a default, a value that does not parse or a non-finite float
+    (alone or in a tuple) raises ContractViolation naming the key."""
+    raw = cfg.pop(key, None)
     if raw is None:
         if default is None:
             raise ContractViolation(f"missing config key {key!r}")
@@ -78,22 +71,9 @@ def _read(cfg: dict, key: str, parse, default=None):
         value = parse(raw)
     except ValueError as exc:
         raise ContractViolation(f"config key {key} = {raw!r}: {exc}") from exc
-    if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
+    if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
         raise ContractViolation(f"config key {key} = {raw!r} is not finite")
     return value
-
-
-def get_float(cfg: dict, key: str, default: float | None = None) -> float:
-    return _read(cfg, key, float, default)
-
-
-def get_int(cfg: dict, key: str, default: int | None = None) -> int:
-    return _read(cfg, key, int, default)
-
-
-def get_float_list(cfg: dict, key: str) -> list[float]:
-    return _read(cfg, key, lambda raw: [
-        float(part) for part in raw.split(",") if part.strip()])
 
 
 _EXPR_NAMES = {

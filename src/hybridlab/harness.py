@@ -26,14 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    _read,
-    field_from_spec,
-    g_from_spec,
-    get_float,
-    get_float_list,
-    get_int,
-)
+from .config import DEFAULTS, _read, field_from_spec, g_from_spec
 from .diagnostics import (
     DiagnosticsReport,
     collect_diagnostics,
@@ -82,61 +75,76 @@ class SweepConfig:
     solver_tol: float = 1e-9
     recon_tol: float = 1e-8
     recon_max_iter: int = 200
-    recon_tau: float = 0.0
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # written as `not x >= 0` so that NaN is refused too
-        if len(self.amplitudes) == 0:
-            raise ContractViolation("amplitude list must be nonempty")
-        # amplitude 0 is allowed as an explicit degenerate control
-        if not all(a >= 0 for a in self.amplitudes):
-            raise ContractViolation("amplitudes must be nonnegative")
-        if not self.seeds >= 1:
-            raise ContractViolation("seeds per amplitude must be >= 1")
-        if len(self.d_list) == 0:
-            raise ContractViolation("d list must be nonempty")
+        # every rule is written so that NaN breaks it; amplitude 0 is
+        # allowed as an explicit degenerate control
+        for ok, message in (
+                (len(self.amplitudes) > 0, "amplitude list must be nonempty"),
+                (all(a >= 0 for a in self.amplitudes), "amplitudes must be nonnegative"),
+                (self.seeds >= 1, "seeds per amplitude must be >= 1"),
+                (len(self.d_list) > 0, "d list must be nonempty"),
+                (self.solver_tol > 0, f"solver.tol must be > 0, got {self.solver_tol}"),
+                (self.recon_tol > 0, f"recon.tol must be > 0, got {self.recon_tol}"),
+                (self.recon_max_iter >= 1,
+                 f"recon.max_iter must be >= 1, got {self.recon_max_iter}"),
+                (self.jitter >= 0, f"sweep.jitter must be >= 0, got {self.jitter}")):
+            if not ok:
+                raise ContractViolation(message)
         for d in self.d_list:  # interior_mask refuses d < 0 and NaN
             if not interior_mask(self.grid, d).any():
                 raise ContractViolation(f"interior margin d = {d:g} leaves no interior node")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepConfig":
-        # the fallbacks serve mappings built without config.DEFAULTS
-        nx = get_int(cfg, "sweep.nx")
-        ny = get_int(cfg, "sweep.ny", nx)
-        lx = get_float(cfg, "sweep.lx", 1.0)
+        """The sweep that a mapping of config keys to strings describes,
+        read over config.DEFAULTS, each key once; the echo is that merged
+        mapping, sorted.  A missing key, a value that does not parse, a
+        non-finite float or a key not read here raises ContractViolation
+        naming the key; __post_init__ then checks the values."""
+        echo = dict(sorted({**DEFAULTS, **cfg}.items()))
+        rest = dict(echo)  # _read pops each key it reads
+
+        def floats(raw):
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+
+        nx = _read(rest, "sweep.nx", int)
+        ny = _read(rest, "sweep.ny", int, nx)
+        lx = _read(rest, "sweep.lx", float, 1.0)
         grid = Grid(nx=nx, ny=ny, lx=lx,
-                    ly=get_float(cfg, "sweep.ly", 0.0 if ny == 1 else lx))
-        q_spec = _read(cfg, "sweep.q", str)
-        g_spec = _read(cfg, "sweep.g", str)
+                    ly=_read(rest, "sweep.ly", float, 0.0 if ny == 1 else lx))
+        q_spec = _read(rest, "sweep.q", str)
+        g_spec = _read(rest, "sweep.g", str)
         # sweep.d may be a comma list of margins; the first one is primary.
-        d_list = tuple(get_float_list(cfg, "sweep.d"))
+        d_list = _read(rest, "sweep.d", floats)
         if not d_list:
             raise ContractViolation("config key sweep.d must list at least one margin")
-        return cls(
+        config = cls(
             grid=grid,
             q_spec=q_spec,
             g_spec=g_spec,
-            mode=cfg.get("sweep.mode", "bump"),
-            amplitudes=tuple(get_float_list(cfg, "sweep.amplitudes")),
-            seeds=get_int(cfg, "sweep.seeds", 1),
+            mode=rest.pop("sweep.mode", "bump"),
+            amplitudes=_read(rest, "sweep.amplitudes", floats),
+            seeds=_read(rest, "sweep.seeds", int, 1),
             bounds=PriorBounds(
-                k_bound=get_float(cfg, "sweep.k"),
-                e_bound=get_float(cfg, "sweep.e"),
-                h_bound=get_float(cfg, "sweep.h"),
+                k_bound=_read(rest, "sweep.k", float),
+                e_bound=_read(rest, "sweep.e", float),
+                h_bound=_read(rest, "sweep.h", float),
                 d_margin=d_list[0],
             ),
             d_list=d_list,
-            out_dir=cfg.get("sweep.out"),
-            seed0=get_int(cfg, "sweep.seed0", 0),
-            jitter=get_float(cfg, "sweep.jitter", 0.0),
-            solver_tol=get_float(cfg, "solver.tol", 1e-9),
-            recon_tol=get_float(cfg, "recon.tol", 1e-8),
-            recon_max_iter=get_int(cfg, "recon.max_iter", 200),
-            recon_tau=get_float(cfg, "recon.tau", 0.0),
-            echo={k: v for k, v in sorted(cfg.items())},
+            out_dir=rest.pop("sweep.out", None),
+            seed0=_read(rest, "sweep.seed0", int, 0),
+            jitter=_read(rest, "sweep.jitter", float),
+            solver_tol=_read(rest, "solver.tol", float),
+            recon_tol=_read(rest, "recon.tol", float),
+            recon_max_iter=_read(rest, "recon.max_iter", int),
+            echo=echo,
         )
+        if rest:
+            raise ContractViolation(f"unknown config key {min(rest)!r}")
+        return config
 
 
 @dataclass(frozen=True)
@@ -356,7 +364,7 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
             recon = reconstruct(
                 pair.f2, pair.u2, config.bounds.k_bound,
                 tol=config.recon_tol, max_iter=config.recon_max_iter,
-                tau=config.recon_tau, solver_tol=config.solver_tol,
+                solver_tol=config.solver_tol,
             )
             err_recon = {
                 d: reconstruction_error(recon.q_hat, pair.q2, d).l1

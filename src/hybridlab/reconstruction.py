@@ -9,12 +9,14 @@ which suggests the fixed-point map
 started from the harmonic extension of g, with
 clamp(s; tau) = sign(s) max(|s|, tau) protecting the division near
 nodal sets, followed by the algebraic recovery q = F / max(u^2, tau^2)
-projected onto the prior interval [1/K, K].  Where u (hence F)
-vanishes, F carries no information about q at all, so clamped nodes are
-reported in a mask instead of being repaired.  Nodes that had to be
-projected although the clamp left them alone, beyond what the update
-tolerance explains, go in a second mask: a recovered q_hat with any of
-them breaks the prior bound, so the result is flagged not admissible.
+projected onto the prior interval [1/K, K]; tau is 1e-6 max(max|g|, 1)
+in the iteration and 1e-6 max(max|u_hat|, 1) in the recovery.  Where u
+(hence F) vanishes, F carries no information about q at all, so clamped
+nodes are reported in a mask instead of being repaired.  Nodes that had
+to be projected although the clamp left them alone, beyond what the
+update tolerance explains, go in a second mask: a recovered q_hat with
+any of them breaks the prior bound, so the result is flagged not
+admissible.
 The map contracts like q/lambda_1 in the well-posed regime;
 non-convergence is flagged on the result, never hidden.
 
@@ -23,8 +25,9 @@ The iterates are accelerated by type-II Anderson mixing of depth 5
 T(u_k) minus the combination of the last five image differences whose
 residual differences best cancel r_k = T(u_k) - u_k in the 2-norm.  The
 clamp, floor hits and the sign-change test act on the iterate fed to T.
-A mixed iterate that is not finite, or a small least-squares solve that
-fails, gives way to the plain step T(u_k) and clears the history; a
+A mixed iterate that is not finite, or that leaves the positive cone
+the plain image lies in, or a small least-squares solve that fails,
+gives way to the plain step T(u_k) and clears the history; a
 growing update does not, since resetting on it throws away the history
 that carries the iteration near lambda_1.  The stop test is
 ||T(u_k) - u_k||_inf < tol, and the result is the plain image T(u_k),
@@ -125,13 +128,6 @@ def _clamp(values: np.ndarray, tau: float) -> np.ndarray:
 
 def _auto_tau(scale: float) -> float:
     return 1e-6 * max(scale, 1.0)
-
-
-def _check_tau(tau: float):
-    """The clamp floor is positive, or 0 to pick it from the data."""
-    if not tau >= 0.0:  # refuses NaN too
-        raise ContractViolation(
-            f"tau must be >= 0 (0 picks it from the data), got {tau}")
 
 
 # longest axis transformed by its dense sine matrix (at most 128 KiB);
@@ -248,7 +244,7 @@ class _Anderson:
         """The next iterate from T(u_k) and r_k.  Falls back to the plain
         step T(u_k), and clears the history, when the residual did not
         change, the small least-squares solve fails, or the mixed iterate
-        is not finite."""
+        is not finite or leaves the positive cone that T(u_k) lies in."""
         last, self.last = self.last, (image, residual)
         if last is not None:
             d_res = (residual - last[1]).ravel()
@@ -269,14 +265,15 @@ class _Anderson:
             self.stored = 0
             return image
         mixed = image - (gamma @ self.d_img[:k]).reshape(image.shape)
-        if not np.isfinite(mixed).all():
+        if (not np.isfinite(mixed).all()
+                or (image.min() > 0.0 and not mixed.min() > 0.0)):
             self.stored = 0
             return image
         return mixed
 
 
 def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
-                  max_iter: int = 200, tau: float = 0.0,
+                  max_iter: int = 200,
                   solver_tol: float = 1e-9) -> ReconstructionResult:
     """Recover u from (F, g) by the clamped fixed-point iteration with
     Anderson mixing (module docstring).
@@ -285,6 +282,12 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
     solves; the result's converged flag distinguishes the two.  A sign
     change of the iterate inside {F > 0} marks departure from the
     positive-solution regime and is flagged, not fatal.
+
+    When T(u_k) is positive at every node and the mixed iterate is not,
+    the plain image is taken and the history cleared: for F >= 0, g > 0
+    the plain map keeps a positive iterate positive (laplacian(T(u)) =
+    -F/u <= 0, so T(u) >= min g), while a mixed iterate that changes sign
+    is sent into another basin and converges to a wrong answer.
     """
     if not tol > 0:  # refuses NaN too
         raise ContractViolation(f"tol must be positive, got {tol}")
@@ -304,9 +307,7 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
             "boundary data identically zero with nontrivial F: the "
             "positive-solution ansatz cannot hold"
         )
-    _check_tau(tau)
-    if tau == 0.0:
-        tau = _auto_tau(g_linf)
+    tau = _auto_tau(g_linf)
     if max_iter < 1:
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
 
@@ -338,7 +339,7 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
 
 
 def recover_q(f: ScalarField, u_hat: ScalarField, k_bound: float,
-              tau: float = 0.0, tol: float = 0.0):
+              tol: float = 0.0):
     """Algebraic recovery q = F / max(u^2, tau^2), projected onto
     [1/K, K] with K = k_bound; returns (q_hat, clamped, projected).
 
@@ -354,9 +355,7 @@ def recover_q(f: ScalarField, u_hat: ScalarField, k_bound: float,
         raise ContractViolation(f"K must be >= 1, got {k_bound}")
     if not tol >= 0:
         raise ContractViolation(f"tol must be >= 0, got {tol}")
-    _check_tau(tau)
-    if tau == 0.0:
-        tau = _auto_tau(float(np.max(np.abs(u_hat.values))))
+    tau = _auto_tau(float(np.max(np.abs(u_hat.values))))
     size = np.abs(u_hat.values)
     clamped = size < tau
     size = np.maximum(size, tau)
@@ -379,13 +378,13 @@ def reconstruction_error(q_hat: ScalarField, q_true: ScalarField,
 
 
 def reconstruct(f: ScalarField, g, k_bound: float, *,
-                tol: float = 1e-8, max_iter: int = 200, tau: float = 0.0,
+                tol: float = 1e-8, max_iter: int = 200,
                 solver_tol: float = 1e-9) -> ReconstructionResult:
     """Full pipeline: reconstruct u, then recover and attach q_hat with
     its clamped and projected masks."""
-    res = reconstruct_u(f, g, tol=tol, max_iter=max_iter, tau=tau,
+    res = reconstruct_u(f, g, tol=tol, max_iter=max_iter,
                         solver_tol=solver_tol)
-    q_hat, clamped, projected = recover_q(f, res.u_hat, k_bound, tau, tol)
+    q_hat, clamped, projected = recover_q(f, res.u_hat, k_bound, tol)
     return replace(res, q_hat=q_hat, clamp_mask=clamped,
                    projected_mask=projected)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hybridlab.harness as harness
 from hybridlab import Grid, PriorBounds, ScalarField, load_field, save_field
 from hybridlab.cli import main
 from hybridlab.config import parse_config
@@ -223,6 +224,27 @@ def test_sweep_refuses_non_finite_setting_or_empty_margin(
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+@pytest.mark.parametrize("key, value", [
+    ("solver.tol", "0"),      # every cell would miss its residual contract
+    ("recon.tol", "0"),       # every reconstruction would end unconverged
+    ("recon.max_iter", "0"),
+    ("sweep.jitter", "-3"),
+    ("recon.max_itr", "1"),   # a typo would run on the default
+])
+def test_bad_setting_is_refused_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                command, key, value):
+    cells = []
+    monkeypatch.setattr(harness, "field_from_spec",
+                        lambda *args: cells.append(args))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not cells and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "sweep"])

@@ -1,17 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hybridlab import ContractViolation, Grid, ScalarField, boundary_values, save_field
-from hybridlab.config import (
-    DEFAULTS,
-    field_from_spec,
-    g_from_spec,
-    get_float,
-    get_float_list,
-    get_int,
-    parse_config,
-)
+from hybridlab.config import DEFAULTS, field_from_spec, g_from_spec, parse_config
 from hybridlab.harness import SweepConfig
+
+# the keys a sweep cannot do without
+REQUIRED = {
+    "sweep.nx": "17", "sweep.q": "const:2", "sweep.g": "coscos",
+    "sweep.amplitudes": "0.1", "sweep.k": "4", "sweep.e": "50",
+    "sweep.h": "0.1", "sweep.d": "0.25",
+}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_cfg(tmp_path, text):
@@ -21,8 +25,13 @@ def write_cfg(tmp_path, text):
 
 
 def test_defaults_present_without_file_keys(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, "\n"))
-    assert cfg == DEFAULTS
+    # parse_config returns the file's keys only; from_config reads them
+    # over the defaults and echoes both
+    assert parse_config(write_cfg(tmp_path, "\n")) == {}
+    sweep = SweepConfig.from_config(REQUIRED)
+    assert sweep.echo == dict(sorted({**DEFAULTS, **REQUIRED}.items()))
+    assert (sweep.solver_tol, sweep.recon_tol, sweep.recon_max_iter,
+            sweep.jitter) == (1e-9, 1e-8, 200, 0.0)
 
 
 def test_parse_overrides_comments_and_blanks(tmp_path):
@@ -33,16 +42,20 @@ solver.tol = 1e-7   # inline comment
 sweep.nx = 33
 sweep.amplitudes = 0.1, 0.2,0.3
 """))
-    assert cfg["solver.tol"] == "1e-7"
-    assert cfg["sweep.nx"] == "33"
-    assert get_float_list(cfg, "sweep.amplitudes") == [0.1, 0.2, 0.3]
+    assert cfg == {"solver.tol": "1e-7", "sweep.nx": "33",
+                   "sweep.amplitudes": "0.1, 0.2,0.3"}
+    sweep = SweepConfig.from_config({**REQUIRED, **cfg})
+    assert sweep.amplitudes == (0.1, 0.2, 0.3)
+    assert sweep.solver_tol == 1e-7
     # untouched defaults survive
-    assert cfg["recon.max_iter"] == "200"
+    assert sweep.recon_max_iter == 200
 
 
-def test_parse_rejects_unknown_namespace(tmp_path):
-    with pytest.raises(ContractViolation):
-        parse_config(write_cfg(tmp_path, "mesh.nx = 5\n"))
+def test_from_config_rejects_unknown_key():
+    # a key from_config does not read is refused by name, typo or not
+    for key in ("mesh.nx", "recon.max_itr", "recon.tau"):
+        with pytest.raises(ContractViolation, match=f"unknown config key '{key}'"):
+            SweepConfig.from_config({**REQUIRED, key: "1"})
 
 
 def test_parse_rejects_missing_equals(tmp_path):
@@ -50,15 +63,22 @@ def test_parse_rejects_missing_equals(tmp_path):
         parse_config(write_cfg(tmp_path, "solver.tol 1e-7\n"))
 
 
-def test_typed_getters_report_key_and_value():
-    cfg = {"solver.tol": "abc", "sweep.seeds": "2.5"}
-    with pytest.raises(ContractViolation, match="solver.tol"):
-        get_float(cfg, "solver.tol")
-    with pytest.raises(ContractViolation, match="sweep.seeds"):
-        get_int(cfg, "sweep.seeds")
-    with pytest.raises(ContractViolation, match="missing"):
-        get_float(cfg, "sweep.k")
-    assert get_int(cfg, "sweep.absent", 7) == 7
+def test_from_config_errors_name_the_key():
+    for key, value in (("solver.tol", "abc"), ("sweep.seeds", "2.5")):
+        with pytest.raises(ContractViolation, match=f"{key} = '{value}'"):
+            SweepConfig.from_config({**REQUIRED, key: value})
+    without_k = {k: v for k, v in REQUIRED.items() if k != "sweep.k"}
+    with pytest.raises(ContractViolation, match="missing config key 'sweep.k'"):
+        SweepConfig.from_config(without_k)
+    assert SweepConfig.from_config(REQUIRED).seeds == 1
+
+
+def test_readme_config_block_is_accepted(tmp_path):
+    # the example under "Config files" names every key from_config reads
+    block = README.read_text().split("### Config files", 1)[1].split("```\n")[1]
+    cfg = parse_config(write_cfg(tmp_path, block))
+    assert "sweep.nx" in cfg
+    SweepConfig.from_config(cfg)
 
 
 def test_field_spec_const_and_coscos():

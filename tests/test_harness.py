@@ -155,6 +155,21 @@ def test_sweep_config_refuses_nan_and_empty_margins():
         small_sweep_config(d_list=(0.125, 0.5))
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("solver_tol", 0.0, "solver.tol"),
+    ("solver_tol", float("nan"), "solver.tol"),
+    ("recon_tol", -1e-8, "recon.tol"),
+    ("recon_tol", float("nan"), "recon.tol"),
+    ("recon_max_iter", 0, "recon.max_iter"),
+    ("jitter", -3.0, "sweep.jitter"),
+    ("jitter", float("nan"), "sweep.jitter"),
+])
+def test_sweep_config_refuses_bad_tolerance_iterations_or_jitter(field, value,
+                                                                 named):
+    with pytest.raises(ContractViolation, match=named):
+        small_sweep_config(**{field: value})
+
+
 def test_sweep_config_from_config_file(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("""
