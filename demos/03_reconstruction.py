@@ -1,10 +1,13 @@
 """Recovering (u, q) from the internal measurement F = q u^2.
 
-The fixed-point iteration solves laplacian(v) = -F / clamp(u_k) until
-the update stalls, then divides to get q.  Nodes where the clamp fired
-are reported in one mask, nodes projected onto [1/K, K] in another; on
-nodal lines of u the measurement carries no information and the floor
-takes over.
+The fixed-point iteration solves
+laplacian(v) - c v = -F / clamp(u_k) - c u_k, with the shift
+c = median(F / clamp(u_k)^2) read off each iterate, until the update
+stalls, then divides to get q.  The shift moves no fixed point, and
+near a solution it makes each step contract like max|q - c| over
+lambda_1 + c.  Nodes where the clamp fired are reported in one mask,
+nodes projected onto [1/K, K] in another; on nodal lines of u the
+measurement carries no information and the floor takes over.
 """
 
 import numpy as np

@@ -13,19 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from hybridlab import Grid, PriorBounds, SweepConfig, emit_report, run_sweep
+from hybridlab import SweepConfig, emit_report, run_sweep
 
 
 def main():
-    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
-    bounds = PriorBounds(k_bound=16.0, e_bound=100.0, h_bound=0.5,
-                         d_margin=0.125)
-    cfg = SweepConfig(
-        grid=grid, q_spec="const:8", g_spec="expr:2.5*cos(x)*cos(y)",
-        mode="bump", amplitudes=tuple(np.geomspace(1.0, 8.0, 8)), seeds=3,
-        bounds=bounds, d_list=(0.125, 0.25),
-        echo={"sweep.q": "const:8", "sweep.g": "expr:2.5*cos(x)*cos(y)"},
-    )
+    amplitudes = ",".join(f"{a:.17g}" for a in np.geomspace(1.0, 8.0, 8))
+    cfg = SweepConfig.from_config({
+        "sweep.nx": "33", "sweep.q": "const:8",
+        "sweep.g": "expr:2.5*cos(x)*cos(y)", "sweep.mode": "bump",
+        "sweep.amplitudes": amplitudes, "sweep.seeds": "3",
+        "sweep.k": "16", "sweep.e": "100", "sweep.h": "0.5",
+        "sweep.d": "0.125,0.25",
+    })
     report = run_sweep(cfg)
 
     print("amplitude  seed  epsilon    err(d=1/8)   err(d=1/4)")

@@ -59,7 +59,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep needs, echoable back into its report."""
+    """Everything a sweep needs, echoable back into its report.  The
+    tolerances and the jitter have no default here: from_config reads
+    them over config.DEFAULTS, the one copy of their defaults."""
 
     grid: Grid
     q_spec: str
@@ -69,12 +71,12 @@ class SweepConfig:
     seeds: int
     bounds: PriorBounds
     d_list: tuple
+    jitter: float
+    solver_tol: float
+    recon_tol: float
+    recon_max_iter: int
     out_dir: str | None = None
     seed0: int = 0
-    jitter: float = 0.0
-    solver_tol: float = 1e-9
-    recon_tol: float = 1e-8
-    recon_max_iter: int = 200
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):

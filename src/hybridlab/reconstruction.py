@@ -1,10 +1,11 @@
 """Coefficient recovery from the internal measurement F and boundary data.
 
-On the positive-solution branch, F = q u^2 lets the equation be
-rewritten as the semilinear Poisson problem  laplacian(u) = -F/u,
-which suggests the fixed-point map
+F = q u^2 lets the equation be rewritten as the semilinear Poisson
+problem  laplacian(u) = -F/u.  Subtracting c u from both sides leaves
+every solution where it is and gives the shifted fixed-point map
 
-    T(u) = solve( laplacian(v) = -F / clamp(u; tau), v = g on boundary ),
+    T_c(u) = solve( laplacian(v) - c v = -F / clamp(u; tau) - c u,
+                    v = g on boundary ),
 
 started from the harmonic extension of g, with
 clamp(s; tau) = sign(s) max(|s|, tau) protecting the division near
@@ -17,28 +18,29 @@ to be projected although the clamp left them alone, beyond what the
 update tolerance explains, go in a second mask: a recovered q_hat with
 any of them breaks the prior bound, so the result is flagged not
 admissible.
-The map contracts like q/lambda_1 in the well-posed regime;
+
+The shift is read off the iterate at every step and is never a
+setting: c = median(F / clamp(u_k; tau)^2) over the nodes where F > 0,
+and 0 where F vanishes everywhere.  At a solution F/u^2 = q, so near
+one the map contracts like max|q - c| / (lambda_1 + c), lambda_1 the
+lowest eigenvalue of -laplacian, against max q / lambda_1 unshifted;
+near lambda_1 that is the difference between a few and a few hundred
+steps.  The median follows the bulk of q and ignores the few nodes
+near a nodal set, where F/u^2 is large or unreliable; the mean, the
+minimum and the midpoint of the range reached the data's own solution
+on fewer cells of a sign-changing scan, and took more steps.  A
+solution of a wrong sign pattern has F/u^2 far above c at its
+wrong-signed nodes, so it repels the iteration.  With c >= 0, g > 0 and
+u_k > 0 the maximum principle keeps T_c(u_k) positive.  The stop test
+is ||T_c(u_k) - u_k||_inf < tol and the result is the image T_c(u_k);
 non-convergence is flagged on the result, never hidden.
 
-The iterates are accelerated by type-II Anderson mixing of depth 5
-(Walker and Ni, SIAM J. Numer. Anal. 49, 2011): the next iterate is
-T(u_k) minus the combination of the last five image differences whose
-residual differences best cancel r_k = T(u_k) - u_k in the 2-norm.  The
-clamp, floor hits and the sign-change test act on the iterate fed to T.
-A mixed iterate that is not finite, or that leaves the positive cone
-the plain image lies in, or a small least-squares solve that fails,
-gives way to the plain step T(u_k) and clears the history; a
-growing update does not, since resetting on it throws away the history
-that carries the iteration near lambda_1.  The stop test is
-||T(u_k) - u_k||_inf < tol, and the result is the plain image T(u_k),
-never a mixed point, so final_update_linf is the update of the
-returned field's own preimage, as without mixing.
-
-Every solve of the iteration is the pure Dirichlet Laplacian (q = 0) on
-the uniform grid, which the type-I discrete sine transform diagonalises:
-the eigenvalues of the 5-point (3-point in 1D) stencil (forward.stencil,
-shared with the forward operator) are (2 cos(pi k/(m+1)) - 2)/h^2 per
-axis of m interior nodes, summed in 2D.  DirichletLaplacian solves it by
+Every solve of the iteration is the shifted Dirichlet Laplacian
+laplacian - c (c >= 0) on the uniform grid, which the type-I discrete
+sine transform diagonalises: the eigenvalues of the 5-point (3-point in
+1D) stencil (forward.stencil, shared with the forward operator) are
+(2 cos(pi k/(m+1)) - 2)/h^2 per axis of m interior nodes, summed in 2D,
+and the shift subtracts c from each.  DirichletLaplacian solves it by
 two transforms per axis and no factorization.  An axis with m <= 128
 is transformed by a product with its sine matrix
 S[j,k] = sin(pi j k/(m+1)), built once per m and read-only (at most
@@ -104,8 +106,8 @@ class ReconstructionResult:
         """Whether q_hat needed no projection onto [1/K, K] outside the
         clamped nodes; None before q is recovered.  False means the
         recovered pair breaks the prior bound K, so it is not the pair
-        that made the data (on a sign-changing solution the fixed point
-        finds a positive one)."""
+        that made the data (on a sign-changing solution with positive g
+        the fixed point finds a positive one)."""
         if self.projected_mask is None:
             return None
         return not self.projected_mask.any()
@@ -159,8 +161,9 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 
 
 class DirichletLaplacian:
-    """laplacian(u) = s inside, u = g on the boundary, for the 5-point
-    (3-point in 1D) stencil on a uniform grid, solved in sine space."""
+    """laplacian(u) - shift u = s inside, u = g on the boundary, for the
+    5-point (3-point in 1D) stencil on a uniform grid, solved in sine
+    space."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -184,15 +187,19 @@ class DirichletLaplacian:
         return _dst1(x if self.grid.is_1d else _dst1(x.T).T)
 
     def solve(self, gfull: np.ndarray, source: np.ndarray | None = None,
-              tol: float = 1e-9) -> np.ndarray:
+              tol: float = 1e-9, shift: float = 0.0) -> np.ndarray:
         """Full field with the boundary of gfull and the interior solving
-        the stencil equation for source (zero when None).
+        the stencil equation minus shift times u for source (zero when
+        None); shift must be finite and >= 0.
 
         Raises SolverFailure when ||A x - b||_inf > tol ||b||_inf, which
         includes any non-finite source or iterate.
         """
         if not tol > 0:  # refuses NaN too
             raise ContractViolation(f"tol must be positive, got {tol}")
+        if not 0.0 <= shift < np.inf:  # refuses NaN too
+            raise ContractViolation(
+                f"shift must be finite and >= 0, got {shift}")
         u = np.array(gfull, dtype=float)
         for arr in (u, source):
             if arr is not None and arr.shape != self.grid.shape:
@@ -201,8 +208,10 @@ class DirichletLaplacian:
         u[self.inner] = 0.0
         s = 0.0 if source is None else source[self.inner]
         b = s - stencil(u, self.h)
-        u[self.inner] = self._scale * self._sine(self._sine(b) / self.eigenvalues)
-        res = float(np.max(np.abs(stencil(u, self.h) - s)))
+        u[self.inner] = self._scale * self._sine(
+            self._sine(b) / (self.eigenvalues - shift))
+        res = float(np.max(np.abs(stencil(u, self.h) - shift * u[self.inner]
+                                  - s)))
         bound = tol * float(np.max(np.abs(b)))
         if not res <= bound:
             raise SolverFailure(
@@ -212,82 +221,17 @@ class DirichletLaplacian:
         return u
 
 
-# history length of the Anderson mixing
-_DEPTH = 5
-
-
-def _mixing_coefficients(d_res: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """gamma minimising ||residual - gamma . d_res||_2 over the rows of
-    d_res, by the normal equations with small singular values truncated;
-    raises numpy.linalg.LinAlgError when the solve fails."""
-    return np.linalg.lstsq(d_res @ d_res.T, d_res @ residual, rcond=None)[0]
-
-
-class _Anderson:
-    """Type-II Anderson mixing of a fixed-point map u -> T(u) (Walker
-    and Ni, SIAM J. Numer. Anal. 49, 2011), over the last _DEPTH steps.
-
-    The history holds differences of successive residuals r = T(u) - u
-    and of successive images T(u), each pair scaled so that the residual
-    difference has unit 2-norm, in preallocated (depth, n) arrays used
-    as a ring.  The mixed iterate is T(u_k) - gamma . dT, where gamma
-    minimises ||r_k - gamma . dR||_2.
-    """
-
-    def __init__(self, size: int):
-        self.d_res = np.empty((_DEPTH, size))
-        self.d_img = np.empty((_DEPTH, size))
-        self.stored = 0
-        self.last = None
-
-    def mix(self, image: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """The next iterate from T(u_k) and r_k.  Falls back to the plain
-        step T(u_k), and clears the history, when the residual did not
-        change, the small least-squares solve fails, or the mixed iterate
-        is not finite or leaves the positive cone that T(u_k) lies in."""
-        last, self.last = self.last, (image, residual)
-        if last is not None:
-            d_res = (residual - last[1]).ravel()
-            norm = float(np.linalg.norm(d_res))
-            if 0.0 < norm < np.inf:
-                slot = self.stored % _DEPTH
-                self.d_res[slot] = d_res / norm
-                self.d_img[slot] = (image - last[0]).ravel() / norm
-                self.stored += 1
-            else:
-                self.stored = 0
-        k = min(self.stored, _DEPTH)
-        if k == 0:
-            return image
-        try:
-            gamma = _mixing_coefficients(self.d_res[:k], residual.ravel())
-        except np.linalg.LinAlgError:
-            self.stored = 0
-            return image
-        mixed = image - (gamma @ self.d_img[:k]).reshape(image.shape)
-        if (not np.isfinite(mixed).all()
-                or (image.min() > 0.0 and not mixed.min() > 0.0)):
-            self.stored = 0
-            return image
-        return mixed
-
-
 def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
                   max_iter: int = 200,
                   solver_tol: float = 1e-9) -> ReconstructionResult:
-    """Recover u from (F, g) by the clamped fixed-point iteration with
-    Anderson mixing (module docstring).
+    """Recover u from (F, g) by the shifted fixed-point iteration
+    u_{k+1} = T_c(u_k), with c read off u_k at every step (module
+    docstring).
 
     Stops when the sup-norm update drops below tol or after max_iter
     solves; the result's converged flag distinguishes the two.  A sign
     change of the iterate inside {F > 0} marks departure from the
     positive-solution regime and is flagged, not fatal.
-
-    When T(u_k) is positive at every node and the mixed iterate is not,
-    the plain image is taken and the history cleared: for F >= 0, g > 0
-    the plain map keeps a positive iterate positive (laplacian(T(u)) =
-    -F/u <= 0, so T(u) >= min g), while a mixed iterate that changes sign
-    is sent into another basin and converges to a wrong answer.
     """
     if not tol > 0:  # refuses NaN too
         raise ContractViolation(f"tol must be positive, got {tol}")
@@ -313,19 +257,21 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
 
     lap = DirichletLaplacian(grid)
     u = lap.solve(gfull, tol=solver_tol)
-    mixer = _Anderson(u.size)
     positive = fvals > 0.0
+    f_pos = fvals[positive]
     sign_change = False
     for iterations in range(1, max_iter + 1):
         floor_hits = int(np.count_nonzero(np.abs(u) < tau))
-        image = lap.solve(gfull, -fvals / _clamp(u, tau), solver_tol)
+        clamped = _clamp(u, tau)
+        c = (float(np.median(f_pos / clamped[positive]**2)) if f_pos.size
+             else 0.0)
+        image = lap.solve(gfull, -fvals / clamped - c * u, solver_tol, c)
         if np.any(positive & (u * image < 0.0)):
             sign_change = True
-        residual = image - u
-        update = float(np.max(np.abs(residual)))
+        update = float(np.max(np.abs(image - u)))
         if update < tol or iterations == max_iter:
             break
-        u = mixer.mix(image, residual)
+        u = image
     return ReconstructionResult(
         u_hat=ScalarField(grid, image),
         q_hat=None,

@@ -81,6 +81,16 @@ def test_readme_config_block_is_accepted(tmp_path):
     SweepConfig.from_config(cfg)
 
 
+def test_readme_library_block_runs():
+    # the example under "Library" runs as printed and its reconstruction
+    # converges to an admissible pair
+    block = README.read_text().split("## Library", 1)[1]
+    scope = {}
+    exec(block.split("```python\n", 1)[1].split("```", 1)[0], scope)
+    assert scope["result"].converged
+    assert scope["result"].admissible is True
+
+
 def test_field_spec_const_and_coscos():
     grid = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
     f = field_from_spec(grid, "const:2.5")

@@ -12,7 +12,7 @@ import pytest
 
 import hybridlab.forward
 from hybridlab import ContractViolation, Grid, PriorBounds, UnderdeterminedFit
-from hybridlab.config import parse_config
+from hybridlab.config import DEFAULTS, parse_config
 from hybridlab.diagnostics import DiagnosticsReport
 from hybridlab.errors import NearSingularError
 from hybridlab.harness import (
@@ -51,6 +51,10 @@ def small_sweep_config(**overrides):
         bounds=PriorBounds(k_bound=4.0, e_bound=50.0, h_bound=0.05,
                            d_margin=0.125),
         d_list=(0.125, 0.25),
+        jitter=float(DEFAULTS["sweep.jitter"]),
+        solver_tol=float(DEFAULTS["solver.tol"]),
+        recon_tol=float(DEFAULTS["recon.tol"]),
+        recon_max_iter=int(DEFAULTS["recon.max_iter"]),
         echo={"sweep.nx": "17"},
     )
     base.update(overrides)

@@ -60,24 +60,27 @@ def test_zero_measurement_returns_harmonic_extension():
 ], ids=["1d", "square", "rectangle", "1d-fft", "rectangle-fft-x"])
 def test_sine_transform_solve_matches_sparse_lu(grid):
     # axes of up to 128 interior nodes take the sine matrix, longer ones
-    # the FFT: the last two grids have a 129-node axis
+    # the FFT: the last two grids have a 129-node axis.  laplacian - shift
+    # is the forward operator of q = -shift
     rng = np.random.default_rng(5)
     source = rng.normal(size=grid.shape)
     g = g_from_spec(grid, "coscos")
-    zero = ScalarField.constant(grid, 0.0)
-    ref = solve_dirichlet(zero, g, SOLVER_TOL, source=ScalarField(grid, source))
     # only the boundary of the given full field counts
     full = field_from_spec(grid, "coscos").values
-    u = DirichletLaplacian(grid).solve(full, source, SOLVER_TOL)
-    scale = np.max(np.abs(ref.u.values))
-    assert np.max(np.abs(u - ref.u.values)) <= SOLVER_TOL * scale
     edge = grid.boundary_distance() == 0
-    np.testing.assert_array_equal(u[edge], ref.u.values[edge])
-    # the residual contract, measured with the assembled sparse matrix
-    op = DiscreteOperator(zero)
-    b = op._load(boundary_field(grid, g), ScalarField(grid, source))
-    assert (op.residual_linf(u.take(op.nodes), b)
-            <= SOLVER_TOL * np.max(np.abs(b)))
+    for shift in (0.0, 19.0, 1e4):
+        minus_shift = ScalarField.constant(grid, -shift)
+        ref = solve_dirichlet(minus_shift, g, SOLVER_TOL,
+                              source=ScalarField(grid, source))
+        u = DirichletLaplacian(grid).solve(full, source, SOLVER_TOL, shift)
+        scale = np.max(np.abs(ref.u.values))
+        assert np.max(np.abs(u - ref.u.values)) <= SOLVER_TOL * scale
+        np.testing.assert_array_equal(u[edge], ref.u.values[edge])
+        # the residual contract, measured with the assembled sparse matrix
+        op = DiscreteOperator(minus_shift)
+        b = op._load(boundary_field(grid, g), ScalarField(grid, source))
+        assert (op.residual_linf(u.take(op.nodes), b)
+                <= SOLVER_TOL * np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("m", [1, 31, 128, 129, 300])
@@ -106,6 +109,13 @@ def test_sine_transform_rejects_fields_of_another_shape():
         lap.solve(np.zeros((9, 9)), tol=0.0)
     with pytest.raises(ContractViolation):
         lap.solve(np.zeros((9, 9)), tol=np.nan)
+
+
+@pytest.mark.parametrize("shift", [-1.0, np.nan, np.inf])
+def test_sine_transform_rejects_a_negative_or_non_finite_shift(shift):
+    grid = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
+    with pytest.raises(ContractViolation, match="shift"):
+        DirichletLaplacian(grid).solve(boundary_field(grid, 1.0), shift=shift)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -205,12 +215,13 @@ def test_sign_invariance():
     np.testing.assert_array_equal(neg.q_hat.values, pos.q_hat.values)
 
 
-# --- Anderson mixing --------------------------------------------------------
+# --- the shifted fixed point -----------------------------------------------
 
-def bump_pair(nx, q, amplitude, k_bound, seed=0, **where):
-    """(F2, g, u2) for q plus a clipped bump, with g = 2.5 cos(x) cos(y)."""
+def bump_pair(nx, q, amplitude, k_bound, seed=0,
+              g_spec="expr:2.5*cos(x)*cos(y)", **where):
+    """(F2, g, u2) for q plus a clipped bump, with g from g_spec."""
     grid = Grid(nx=nx, ny=nx, lx=1.0, ly=1.0)
-    g = g_from_spec(grid, "expr:2.5*cos(x)*cos(y)")
+    g = g_from_spec(grid, g_spec)
     bounds = PriorBounds(k_bound=k_bound, e_bound=1e4, h_bound=0.5,
                          d_margin=0.125)
     with warnings.catch_warnings():
@@ -223,10 +234,9 @@ def bump_pair(nx, q, amplitude, k_bound, seed=0, **where):
 
 def test_near_lambda_1_converges_within_default_max_iter():
     # q = 19 sits just under the discrete lambda_1 (about 19.7): the
-    # plain iteration contracts by about 0.97 a step and ends 200 steps
-    # unconverged, 0.16 from u2.  Without the positive-cone guard,
-    # whether mixing reached u2 here turned on the rounding of the
-    # Poisson solves
+    # unshifted iteration contracts by about 0.97 a step and ends 200
+    # steps unconverged, 0.16 from u2; the shift c near 19 makes it
+    # contract at once
     f, g, u2 = bump_pair(33, 19.0, 0.5, 32.0)
     res = reconstruct_u(f, g)
     assert res.converged and res.iterations < 200
@@ -236,9 +246,9 @@ def test_near_lambda_1_converges_within_default_max_iter():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("amplitude", [0.5, 1.0, 2.0, 4.0])
 def test_mixing_keeps_positive_data_in_the_positive_cone(amplitude, seed):
-    # q = 18 under lambda_1 with a positive u2: without the guard, mixing
-    # left the positive cone on five of these twelve cells and converged
-    # 63 to 79 from u2
+    # q = 18 under lambda_1 with a positive u2: an iterate that leaves
+    # the positive cone here converges 63 to 79 from u2.  The shifted map
+    # keeps a positive iterate positive by the maximum principle
     f, g, u2 = bump_pair(33, 18.0, amplitude, 64.0, seed)
     res = reconstruct(f, g, 64.0)
     assert res.converged and res.admissible is True
@@ -247,70 +257,30 @@ def test_mixing_keeps_positive_data_in_the_positive_cone(amplitude, seed):
 
 
 @pytest.mark.parametrize("amplitude", [0.5, 4.0])
-def test_recon_slow_cell_takes_at_most_30_iterations(amplitude):
+def test_recon_slow_cell_takes_at_most_12_iterations(amplitude):
     # a cell of the recon-slow benchmark workload (seed0 = 0), which the
-    # plain iteration took 109 and 124 steps over
+    # unshifted iteration takes 109 and 124 steps over
     f, g, u2 = bump_pair(65, 16.0, amplitude, 32.0)
     res = reconstruct_u(f, g)
-    assert res.converged and res.iterations <= 30
+    assert res.converged and res.iterations <= 12
     assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
 
 
-def plain_fixed_point(f, g, tol=1e-8, max_iter=200):
-    """The unaccelerated iteration u <- T(u), as the reference."""
-    gfull = boundary_field(f.grid, g)
-    tau = 1e-6 * max(float(np.max(np.abs(gfull))), 1.0)
-    lap = DirichletLaplacian(f.grid)
-    u = lap.solve(gfull)
-    for it in range(1, max_iter + 1):
-        image = lap.solve(gfull, -f.values / reconstruction._clamp(u, tau))
-        update = float(np.max(np.abs(image - u)))
-        if update < tol:
-            break
-        u = image
-    return image, it, update
-
-
-def _nan_coefficients(d_res, residual):
-    return np.full(d_res.shape[0], np.nan)
-
-
-def _failing_coefficients(d_res, residual):
-    raise np.linalg.LinAlgError("forced")
-
-
-@pytest.mark.parametrize("coefficients", [_nan_coefficients,
-                                          _failing_coefficients],
-                         ids=["non-finite", "lstsq-fails"])
-def test_failed_mixing_falls_back_to_the_plain_step(monkeypatch, coefficients):
-    f, g, _ = bump_pair(33, 8.0, 8.0, 16.0)
-    image, iterations, update = plain_fixed_point(f, g)
-    monkeypatch.setattr(reconstruction, "_mixing_coefficients", coefficients)
-    res = reconstruct_u(f, g)
-    # every mixed step fails, so every step is the plain one
-    assert res.converged
-    assert (res.iterations, res.final_update_linf) == (iterations, update)
-    np.testing.assert_array_equal(res.u_hat.values, image)
-
-
-def test_one_failed_mixing_step_clears_history_and_still_converges(
-        monkeypatch):
-    f, g, u2 = bump_pair(33, 16.0, 4.0, 32.0)
-    calls = []
-    mix = reconstruction._mixing_coefficients
-
-    def once_nan(d_res, residual):
-        calls.append(d_res.shape[0])
-        if len(calls) == 3:
-            return _nan_coefficients(d_res, residual)
-        return mix(d_res, residual)
-
-    monkeypatch.setattr(reconstruction, "_mixing_coefficients", once_nan)
-    res = reconstruct_u(f, g)
-    assert res.converged
+@pytest.mark.parametrize("nx, q, amplitude, g_spec", [
+    (33, 18.0, 0.5, "expr:x - 0.5"),
+    (33, 19.0, 0.5, "expr:x - 0.5"),
+    (33, 18.0, 2.0, "expr:x + y - 1"),
+    (65, 19.0, 0.5, "expr:x - 0.5"),
+], ids=["x-half-q18", "x-half-q19", "x+y-1-q18", "x-half-q19-nx65"])
+def test_sign_changing_boundary_data_reaches_u2(nx, q, amplitude, g_spec):
+    # u2 changes sign with g, so the iterates must too; a solution of
+    # another sign pattern has F/u^2 far above the shift at its
+    # wrong-signed nodes and repels the iteration
+    f, g, u2 = bump_pair(nx, q, amplitude, 64.0, g_spec=g_spec)
+    assert u2.values.min() < 0.0 < u2.values.max()
+    res = reconstruct(f, g, 64.0)
+    assert res.converged and res.admissible is True
     assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
-    # the history grows one step at a time and restarts after the failure
-    assert calls[:6] == [1, 2, 3, 1, 2, 3]
 
 
 def test_returned_field_is_the_image_of_the_last_iterate(monkeypatch):
@@ -335,8 +305,9 @@ def test_returned_field_is_the_image_of_the_last_iterate(monkeypatch):
     np.testing.assert_array_equal(res.u_hat.values, images[-1])
     assert np.max(np.abs(images[-1] - fed[-1])) == res.final_update_linf
     assert res.final_update_linf < res.tol
-    # the mixing moved the iterates off the plain images
-    assert any(not np.array_equal(u, t) for u, t in zip(fed[1:], images[1:]))
+    # no history: each iterate fed to T is the previous image
+    for u, t in zip(fed, images):
+        np.testing.assert_array_equal(u, t)
 
 
 # --- admissibility ----------------------------------------------------------
@@ -354,10 +325,11 @@ def test_positive_pair_for_sign_changing_data_is_not_admissible():
 
 
 def test_admissible_flag_separates_basins_of_sign_changing_data():
-    # at q = 21 the true u2 changes sign.  Without the positive-cone guard
+    # at q = 21 the true u2 changes sign.  Under unguarded Anderson mixing
     # the basin reached turned on the last bits of F: some copies of F
-    # reached the positive pair and some u2.  With it, every copy scaled
-    # by 1 + {-1, 0, 1} * 2.2e-16 node by node converges in as many steps
+    # reached the positive pair and some u2.  The shifted map keeps a
+    # positive iterate positive, so every copy scaled by
+    # 1 + {-1, 0, 1} * 2.2e-16 node by node converges in as many steps
     # to the same positive pair, and the flag marks it not admissible
     f, g, u2 = bump_pair(33, 21.0, 0.5, 64.0)
     first = reconstruct(f, g, 64.0)
