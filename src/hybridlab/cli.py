@@ -14,13 +14,9 @@ from pathlib import Path
 
 from .config import g_from_spec, parse_config
 from .counterexample import pathology_table, write_pathology_csv
-from .diagnostics import (
-    collect_diagnostics,
-    write_diagnostics_csv,
-    write_diagnostics_summary,
-)
+from .diagnostics import collect_diagnostics, write_diagnostics_csv
 from .errors import ContractViolation, SolverError
-from .fields import load_field, save_field
+from .fields import load_field, save_field, write_json
 from .forward import solve_dirichlet
 from .harness import SweepConfig, emit_report, run_sweep, sweep_pairs
 from .reconstruction import reconstruct, save_result_manifest
@@ -84,10 +80,11 @@ def _cmd_reconstruct(args) -> int:
     admissible = ("admissible" if result.admissible else
                   f"NOT admissible ({int(result.projected_mask.sum())} "
                   f"nodes projected onto [1/K, K])")
+    sign = ", u_hat changes sign" if result.sign_change else ""
     print(
         f"reconstruct: {status} in {result.iterations} iterations "
         f"(update {result.final_update_linf:.3e}, floor hits "
-        f"{result.floor_hits}), {admissible} -> {out}"
+        f"{result.floor_hits}), {admissible}{sign} -> {out}"
     )
     return 0
 
@@ -98,7 +95,7 @@ def _cmd_diagnose(args) -> int:
     report = collect_diagnostics(pair)
     directory = manifest.parent if manifest.is_file() else manifest
     csv_path = write_diagnostics_csv(report, directory / "diagnostics.csv")
-    json_path = write_diagnostics_summary(report, directory / "diagnostics.json")
+    json_path = write_json(directory / "diagnostics.json", report.summary())
     print(
         f"diagnose: max_doubling={report.max_doubling} "
         f"min_propagation={report.min_propagation} "

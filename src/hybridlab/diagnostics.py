@@ -37,7 +37,6 @@ from .fields import (
     mask_measure,
     norms,
     write_csv,
-    write_json,
 )
 from .synthesis import ExperimentPair
 
@@ -56,7 +55,6 @@ __all__ = [
     "eta_from_delta",
     "collect_diagnostics",
     "write_diagnostics_csv",
-    "write_diagnostics_summary",
 ]
 
 TAU_AP = 1e-12
@@ -387,8 +385,3 @@ def write_diagnostics_csv(report: DiagnosticsReport, path) -> Path:
     return write_csv(path, ["functional", "center_x", "center_y", "r",
                             "param", "value", "floor_hits"], rows)
 
-
-def write_diagnostics_summary(report: DiagnosticsReport, path) -> Path:
-    """JSON digest {max_doubling, min_propagation, best_delta,
-    proof_bound_margin}."""
-    return write_json(path, report.summary())

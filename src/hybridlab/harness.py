@@ -12,7 +12,9 @@ flagged samples; the sweep never aborts.  The cells come from
 sweep_pairs, the one cell loop, which `hybridlab synth` also draws from.
 
 The summary fit is least squares of log(err) against log(sqrt(eps)+eps)
-over hypothesis-satisfying converged samples.  The fitted power law is a
+over hypothesis-satisfying samples, one fit_holder call: two points give
+the exact line, flagged underdetermined, and fewer leave no fit; the
+report's fit_flag is read off that fit.  The fitted power law is a
 summary statistic, not the stability estimate itself; the envelope
 property (samples under c_hat * x^eta_hat * exp(3 * residual)) is what
 tests assert.
@@ -222,14 +224,16 @@ def fit_holder(samples) -> HolderFit:
     """Least squares of log(err) = log(C) + eta * log(sqrt(eps)+eps).
 
     samples is an iterable of (epsilon, err) pairs.  Entries with zero or
-    non-finite values are excluded and counted.  Fewer than three usable
-    points, or points without epsilon spread, raise UnderdeterminedFit.
+    non-finite values are excluded and counted.  Two usable points give
+    the line through them, flagged underdetermined, with no residual and
+    a zero-width eta_ci; fewer points, or points without epsilon spread,
+    raise UnderdeterminedFit.
     """
     xs, ys, excluded = _usable_points(samples)
     n = xs.size
-    if n < 3:
+    if n < 2:
         raise UnderdeterminedFit(
-            f"need >= 3 usable samples with positive epsilon and err, got {n}"
+            f"need >= 2 usable samples with positive epsilon and err, got {n}"
         )
     if xs.max() - xs.min() < 1e-12:
         raise UnderdeterminedFit("samples do not span distinct epsilon values")
@@ -238,11 +242,12 @@ def fit_holder(samples) -> HolderFit:
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     intercept, slope = coef
     resid = ys - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
+    dof = n - 2  # two points leave no residual to estimate spread from
+    rms = float(np.sqrt(np.mean(resid**2))) if dof else 0.0
 
-    # n > 2 and the epsilon spread make sxx positive
+    # the epsilon spread makes sxx positive
     sxx = float(np.sum((xs - xs.mean()) ** 2))
-    se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
+    se = math.sqrt(float(np.sum(resid**2)) / dof / sxx) if dof else 0.0
     return HolderFit(
         c_hat=float(np.exp(intercept)),
         eta_hat=float(slope),
@@ -250,45 +255,31 @@ def fit_holder(samples) -> HolderFit:
         eta_ci=(float(slope - 2.0 * se), float(slope + 2.0 * se)),
         n_used=int(n),
         n_excluded=int(excluded),
+        underdetermined=not dof,
     )
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Sweep outcome: samples, the one fit and its flag, a diagnostics
-    digest, and the config that ran."""
+    """Sweep outcome: samples, the one fit, a diagnostics digest, and the
+    config that ran."""
 
     samples: tuple
     config: SweepConfig
     fit: HolderFit | None
-    fit_flag: str
     diagnostics: DiagnosticsReport | None
+
+    @property
+    def fit_flag(self) -> str:
+        """'skipped' without a fit, 'underdetermined' for the line
+        through two points, else 'ok'."""
+        if self.fit is None:
+            return "skipped"
+        return "underdetermined" if self.fit.underdetermined else "ok"
 
     @property
     def eta_in_range(self) -> bool:
         return self.fit is not None and 0.0 < self.fit.eta_hat <= 1.2
-
-
-def _fit_or_flag(points):
-    """(fit, flag) where flag is 'ok', 'skipped', or 'underdetermined'
-    for the exact line through exactly two distinct usable points."""
-    try:
-        return fit_holder(points), "ok"
-    except UnderdeterminedFit:
-        pass
-    xs, ys, excluded = _usable_points(points)
-    if xs.size != 2 or abs(xs[1] - xs[0]) < 1e-12:
-        return None, "skipped"
-    slope = float((ys[1] - ys[0]) / (xs[1] - xs[0]))
-    return HolderFit(
-        c_hat=float(np.exp(ys[0] - slope * xs[0])),
-        eta_hat=slope,
-        residual_rms=0.0,
-        eta_ci=(slope, slope),
-        n_used=2,
-        n_excluded=int(excluded),
-        underdetermined=True,
-    ), "underdetermined"
 
 
 def sweep_pairs(config: SweepConfig):
@@ -392,13 +383,16 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
                 diag_key = key
                 diag_pair = pair
 
-    fit, fit_flag = _fit_or_flag(
-        [(s.epsilon, s.err_l1_interior) for s in samples if s.usable])
+    try:
+        fit = fit_holder(
+            [(s.epsilon, s.err_l1_interior) for s in samples if s.usable])
+    except UnderdeterminedFit:
+        fit = None
     diagnostics = (
         collect_diagnostics(diag_pair) if diag_pair is not None else None
     )
     return StabilityReport(
-        samples=tuple(samples), config=config, fit=fit, fit_flag=fit_flag,
+        samples=tuple(samples), config=config, fit=fit,
         diagnostics=diagnostics,
     )
 

@@ -88,18 +88,25 @@ __all__ = [
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Fixed-point output: recovered solution, optional coefficient, and
-    the convergence/degeneracy record of the run."""
+    the convergence/degeneracy record of the run.  floor_hits and
+    sign_change describe u_hat on the interior nodes with F > 0, where
+    F/u enters the solve: how many lie below the clamp level tau, and
+    whether u_hat takes both signs there."""
 
     u_hat: ScalarField
     q_hat: ScalarField | None
     iterations: int
     final_update_linf: float
     floor_hits: int
-    converged: bool
+    sign_change: bool
     tol: float
-    sign_change: bool = False
     clamp_mask: np.ndarray | None = None
     projected_mask: np.ndarray | None = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the last update met the tolerance."""
+        return self.final_update_linf < self.tol
 
     @property
     def admissible(self) -> bool | None:
@@ -111,14 +118,6 @@ class ReconstructionResult:
         if self.projected_mask is None:
             return None
         return not self.projected_mask.any()
-
-    def __post_init__(self):
-        if self.converged and self.final_update_linf > self.tol:
-            raise ContractViolation(
-                "converged result violates its own update tolerance"
-            )
-        if self.iterations < 0 or self.floor_hits < 0:
-            raise ContractViolation("counts must be nonnegative")
 
 
 def _clamp(values: np.ndarray, tau: float) -> np.ndarray:
@@ -229,9 +228,10 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
     docstring).
 
     Stops when the sup-norm update drops below tol or after max_iter
-    solves; the result's converged flag distinguishes the two.  A sign
-    change of the iterate inside {F > 0} marks departure from the
-    positive-solution regime and is flagged, not fatal.
+    solves; the result's converged flag distinguishes the two.  The
+    answer's floor hits and sign change are read off the returned u_hat
+    on the interior nodes with F > 0; a u_hat of both signs there has
+    left the positive-solution regime, which is flagged, not fatal.
     """
     if not tol > 0:  # refuses NaN too
         raise ContractViolation(f"tol must be positive, got {tol}")
@@ -259,28 +259,24 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
     u = lap.solve(gfull, tol=solver_tol)
     positive = fvals > 0.0
     f_pos = fvals[positive]
-    sign_change = False
     for iterations in range(1, max_iter + 1):
-        floor_hits = int(np.count_nonzero(np.abs(u) < tau))
         clamped = _clamp(u, tau)
         c = (float(np.median(f_pos / clamped[positive]**2)) if f_pos.size
              else 0.0)
         image = lap.solve(gfull, -fvals / clamped - c * u, solver_tol, c)
-        if np.any(positive & (u * image < 0.0)):
-            sign_change = True
         update = float(np.max(np.abs(image - u)))
         if update < tol or iterations == max_iter:
             break
         u = image
+    active = image[positive & interior_mask(grid, 0.0)]
     return ReconstructionResult(
         u_hat=ScalarField(grid, image),
         q_hat=None,
         iterations=iterations,
         final_update_linf=update,
-        floor_hits=floor_hits,
-        converged=update < tol,
+        floor_hits=int(np.count_nonzero(np.abs(active) < tau)),
+        sign_change=bool(np.any(active > 0.0) and np.any(active < 0.0)),
         tol=tol,
-        sign_change=sign_change,
     )
 
 
@@ -337,11 +333,12 @@ def reconstruct(f: ScalarField, g, k_bound: float, *,
 
 def save_result_manifest(result: ReconstructionResult, path) -> Path:
     """Write the run record {iterations, final_update_linf, floor_hits,
-    converged, admissible} as JSON."""
+    sign_change, converged, admissible} as JSON."""
     return write_json(path, {
         "iterations": result.iterations,
         "final_update_linf": result.final_update_linf,
         "floor_hits": result.floor_hits,
+        "sign_change": result.sign_change,
         "converged": result.converged,
         "admissible": result.admissible,
     })

@@ -25,14 +25,13 @@ from hybridlab.diagnostics import (
     propagation_ratio,
     weighted_checks,
     write_diagnostics_csv,
-    write_diagnostics_summary,
 )
 from hybridlab.counterexample import (
     OscillatoryFamily,
     coefficient_gap,
     residual_check,
 )
-from hybridlab.fields import ball_mask, interior_mask, mask_measure
+from hybridlab.fields import ball_mask, interior_mask, mask_measure, write_json
 from hybridlab.synthesis import make_pair, perturb_coefficient
 
 BOUNDS = PriorBounds(k_bound=4.0, e_bound=10.0, h_bound=0.2, d_margin=0.1)
@@ -373,7 +372,7 @@ def test_collect_diagnostics_deterministic_files(tmp_path):
     assert {"doubling", "propagation", "muckenhoupt", "neg_integral",
             "weighted_lhs", "weighted_proof_bound", "level_set"} <= kinds
 
-    spath = write_diagnostics_summary(report, tmp_path / "summary.json")
+    spath = write_json(tmp_path / "summary.json", report.summary())
     summary = json.loads(spath.read_text())
     assert set(summary) == {"max_doubling", "min_propagation", "best_delta",
                             "proof_bound_margin"}

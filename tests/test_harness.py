@@ -20,7 +20,6 @@ from hybridlab.harness import (
     StabilityReport,
     SweepConfig,
     SweepSample,
-    _fit_or_flag,
     emit_report,
     fit_holder,
     run_sweep,
@@ -113,11 +112,24 @@ def test_fit_excludes_and_counts_zero_error_samples():
     assert abs(fit.eta_hat - 0.6) <= 1e-10
 
 
-def test_fit_underdetermined_below_three_points():
+def test_fit_underdetermined_below_two_points():
     with pytest.raises(UnderdeterminedFit):
-        fit_holder([(0.1, 0.2), (0.2, 0.3)])
+        fit_holder([(0.1, 0.2)])
     with pytest.raises(UnderdeterminedFit):
-        fit_holder([(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)])
+        fit_holder([(0.1, 0.2), (0.2, 0.0), (0.3, 0.0)])
+    assert fit_holder([(0.1, 0.2), (0.2, 0.3)]).underdetermined
+
+
+def test_fit_two_points_is_the_exact_line():
+    eps, err = (1e-3, 0.04), (2e-2, 0.3)
+    fit = fit_holder(list(zip(eps, err)))
+    x = [math.log(math.sqrt(e) + e) for e in eps]
+    y = [math.log(e) for e in err]
+    slope = (y[1] - y[0]) / (x[1] - x[0])
+    assert fit.underdetermined and fit.residual_rms == 0.0
+    assert fit.eta_ci[0] == fit.eta_ci[1]
+    assert abs(fit.eta_hat - slope) <= 1e-13 * abs(slope)
+    assert fit.n_used == 2 and fit.n_excluded == 0
 
 
 def test_fit_underdetermined_without_epsilon_spread():
@@ -128,11 +140,20 @@ def test_fit_underdetermined_without_epsilon_spread():
 def test_fit_flag_ok_underdetermined_or_skipped():
     eps = np.logspace(-4, -1, 6)
     err = 1e-3 * (np.sqrt(eps) + eps) ** 0.8
-    fit, flag = _fit_or_flag(list(zip(eps, err)))
-    assert flag == "ok" and not fit.underdetermined
-    fit, flag = _fit_or_flag(list(zip(eps[:2], err[:2])))
-    assert fit.underdetermined and flag == "underdetermined"
-    assert _fit_or_flag([(eps[0], err[0])]) == (None, "skipped")
+    config = small_sweep_config(echo={})
+
+    def flag(fit):
+        return StabilityReport(samples=(), config=config, fit=fit,
+                               diagnostics=None).fit_flag
+
+    assert flag(fit_holder(list(zip(eps, err)))) == "ok"
+    assert flag(fit_holder(list(zip(eps[:2], err[:2])))) == "underdetermined"
+    with pytest.raises(UnderdeterminedFit):
+        fit_holder([(eps[0], err[0])])
+    # run_sweep maps a refused fit to no fit, flagged skipped
+    rep = run_sweep(small_sweep_config(amplitudes=(0.0,), seeds=1,
+                                       d_list=(0.125,)))
+    assert rep.fit is None and rep.fit_flag == "skipped"
 
 
 # --------------------------------------------------------------- SweepConfig
@@ -251,7 +272,7 @@ def test_sweep_fit_and_diagnostics_attached(smoke_report):
     # one fit, of err_true; err_recon is solver noise (under
     # recon.tol = 1e-8), so it gets none
     assert {f.name for f in dataclasses.fields(rep)} == {
-        "samples", "config", "fit", "fit_flag", "diagnostics"}
+        "samples", "config", "fit", "diagnostics"}
     assert rep.fit is not None and rep.fit_flag == "ok"
     assert rep.fit.n_used == 6
     assert rep.eta_in_range == (0.0 < rep.fit.eta_hat <= 1.2)
@@ -430,7 +451,7 @@ def test_emit_report_files_and_structure(tmp_path, smoke_report):
 def test_emit_report_empty_sample_list(tmp_path):
     rep = StabilityReport(
         samples=(), config=small_sweep_config(d_list=(0.125,), echo={}),
-        fit=None, fit_flag="skipped", diagnostics=None,
+        fit=None, diagnostics=None,
     )
     files = emit_report(rep, tmp_path / "empty")
     assert files["samples"].read_text().count("\n") == 1
@@ -457,7 +478,7 @@ def test_scatter_keeps_samples_above_the_fit_line_inside_the_plot(tmp_path):
                     eta_ci=(1.0, 1.0), n_used=2, n_excluded=0)
     rep = StabilityReport(
         samples=samples, config=small_sweep_config(d_list=(0.125,), echo={}),
-        fit=fit, fit_flag="ok", diagnostics=None,
+        fit=fit, diagnostics=None,
     )
     svg = emit_report(rep, tmp_path / "scatter")["scatter"].read_text()
     x, y, w, h = (float(v) for v in re.search(
@@ -716,7 +737,7 @@ def test_emit_report_unwritable_directory_has_path_context(tmp_path):
     target.write_text("a file, not a directory")
     rep = StabilityReport(
         samples=(), config=small_sweep_config(d_list=(0.1,), echo={}),
-        fit=None, fit_flag="skipped", diagnostics=None,
+        fit=None, diagnostics=None,
     )
     with pytest.raises(OSError, match="blocked"):
         emit_report(rep, target)

@@ -1,7 +1,10 @@
 """Fixed-point reconstruction tests: manufactured pairs, degeneracy
 handling, sign invariance, error reporting."""
 
+import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +286,26 @@ def test_sign_changing_boundary_data_reaches_u2(nx, q, amplitude, g_spec):
     assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
 
 
+@pytest.mark.parametrize("q_spec, g_spec, sign_change, floor_hits", [
+    ("const:19.72336", "expr:x - 0.5", True, 31),
+    ("const:8", "coscos", False, 0),
+], ids=["x-half-near-lambda-1", "coscos-q8"])
+def test_floor_hits_and_sign_change_are_read_off_the_answer(
+        q_spec, g_spec, sign_change, floor_hits):
+    # on x - 1/2 the answer is the sign-changing u2, which vanishes on
+    # the column x = 1/2: 31 interior nodes, and 2 boundary nodes where
+    # F/u never enters the solve, so they are not counted
+    grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
+    q = field_from_spec(grid, q_spec)
+    g = g_from_spec(grid, g_spec)
+    u = solve_dirichlet(q, g).u
+    res = reconstruct(internal_data(q, u), g, 64.0)
+    assert res.converged and res.admissible is True
+    assert np.max(np.abs(res.u_hat.values - u.values)) <= 1e-8
+    assert res.sign_change is sign_change
+    assert res.floor_hits == floor_hits
+
+
 def test_returned_field_is_the_image_of_the_last_iterate(monkeypatch):
     f, g, _ = bump_pair(33, 16.0, 4.0, 32.0)
     fed, images = [], []
@@ -451,11 +474,23 @@ def test_result_manifest(tmp_path):
     f = ScalarField.from_function(grid, coscos_sq)
     res = reconstruct(f, coscos, K)
     path = save_result_manifest(res, tmp_path / "result.json")
-    import json
-
     payload = json.loads(path.read_text())
     assert set(payload) == {"iterations", "final_update_linf",
-                            "floor_hits", "converged", "admissible"}
+                            "floor_hits", "sign_change", "converged",
+                            "admissible"}
+    assert payload["sign_change"] is False
     assert payload["converged"] is True
     assert payload["admissible"] is True
     assert payload["iterations"] == res.iterations
+
+
+def test_readme_lists_the_result_manifest_keys(tmp_path):
+    # the key list in the README's reconstruct paragraph names exactly
+    # the keys save_result_manifest writes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"`result\.json` \(([^)]*)\)", readme).group(1)
+    grid = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
+    res = reconstruct(ScalarField.from_function(grid, coscos_sq), coscos, K)
+    path = save_result_manifest(res, tmp_path / "result.json")
+    written = json.loads(path.read_text())
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(written)
