@@ -17,8 +17,6 @@ from hybridlab import (
     ScalarField,
     internal_data,
     reconstruct,
-    reconstruct_u,
-    recover_q,
     solve_dirichlet,
 )
 from hybridlab.reconstruction import reconstruction_error
@@ -47,12 +45,11 @@ def main():
     q = ScalarField.constant(grid, 1.0)
     u = ScalarField.from_function(grid, np.cos)  # vanishes at x = pi/2
     f = internal_data(q, u)
-    res = reconstruct_u(f, [1.0, -1.0])
-    q_hat, clamped, projected = recover_q(f, res.u_hat, k_bound, tol=res.tol)
+    res = reconstruct(f, [1.0, -1.0], k_bound)
     mid = int(np.argmin(np.abs(grid.xs() - np.pi / 2)))
-    print(f"\nnodal line case: clamp mask marks {int(clamped.sum())} node(s), "
-          f"projection {int(projected.sum())}, "
-          f"q_hat at the zero = {q_hat.values[0, mid]:.4f} "
+    print(f"\nnodal line case: clamp mask marks {int(res.clamp_mask.sum())} "
+          f"node(s), projection {int(res.projected_mask.sum())}, "
+          f"q_hat at the zero = {res.q_hat.values[0, mid]:.4f} "
           f"(projection floor 1/K = {1 / k_bound})")
 
 

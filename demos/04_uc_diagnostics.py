@@ -34,18 +34,24 @@ def main():
                      bounds, seed=4, mode="bump", amplitude=0.5)
 
     report = collect_diagnostics(pair)
+
+    def rows(functional):
+        # one row per value, in the diagnostics.csv columns: functional,
+        # center_x, center_y, r, param, value, floor_hits
+        return [row for row in report.rows if row[0] == functional]
+
     print(f"doubling ratios (max {report.max_doubling:.3f}):")
-    for (cx, cy), r, v in report.doubling:
+    for _, cx, cy, r, _, v, _ in rows("doubling"):
         print(f"  ball({cx:.2f},{cy:.2f}; r={r:.3f}) -> {v:.3f}")
     print(f"propagation ratios (min {report.min_propagation:.4f})")
     print("Muckenhoupt products by p:")
     for p in (1.5, 2.0, 3.0):
-        vals = [v for _, _, pp, v, _ in report.ap if pp == p]
+        vals = [v for *_, pp, v, _ in rows("muckenhoupt") if pp == p]
         print(f"  p={p}: max {max(vals):.3f}  "
               f"(delta_from_p={delta_from_p(p):.2f}, "
               f"eta={eta_from_delta(delta_from_p(p)):.3f})")
     print("negative-power integrals over the interior margin:")
-    for d, delta, v, hits in report.neg_integral:
+    for *_, delta, v, hits in rows("neg_integral"):
         print(f"  delta={delta:<5} integral={v:.4f}  floor hits={hits}")
     print(f"largest refinement-stable delta: {report.best_delta}")
     w = report.weighted

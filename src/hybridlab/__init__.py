@@ -34,7 +34,7 @@ from .fields import (
 )
 from .forward import DiscreteOperator, solve_dirichlet
 from .synthesis import internal_data, make_pair, perturb_coefficient
-from .reconstruction import reconstruct, reconstruct_u, recover_q
+from .reconstruction import reconstruct, recover_q
 from .diagnostics import collect_diagnostics, weighted_checks
 from .counterexample import OscillatoryFamily, pathology_table
 from .harness import SweepConfig, emit_report, fit_holder, run_sweep
@@ -66,7 +66,6 @@ __all__ = [
     "make_pair",
     "perturb_coefficient",
     "reconstruct",
-    "reconstruct_u",
     "recover_q",
     "collect_diagnostics",
     "weighted_checks",

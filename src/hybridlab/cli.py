@@ -12,7 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import g_from_spec, parse_config
+from .config import DEFAULTS, g_from_spec, parse_config
 from .counterexample import pathology_table, write_pathology_csv
 from .diagnostics import collect_diagnostics, write_diagnostics_csv
 from .errors import ContractViolation, SolverError
@@ -122,18 +122,13 @@ def _cmd_sweep(args) -> int:
     cfg, out = _sweep_config(args)
     report = run_sweep(cfg)
     files = emit_report(report, out)
-    if report.fit is None:
-        print(
-            f"sweep: {len(report.samples)} samples, fit skipped "
-            f"({report.fit_flag}) -> {files['fit']}"
-        )
-    else:
-        fit = report.fit
-        print(
-            f"sweep: {len(report.samples)} samples, eta_hat={fit.eta_hat:.4f} "
-            f"c_hat={fit.c_hat:.4g} residual={fit.residual_rms:.4f} "
-            f"eta_in_range={report.eta_in_range} -> {files['fit']}"
-        )
+    fit = report.fit
+    usable = sum(s.usable for s in report.samples)
+    values = "" if fit is None else (
+        f" eta_hat={fit.eta_hat:.4f} c_hat={fit.c_hat:.4g} "
+        f"residual={fit.residual_rms:.4f} eta_in_range={report.eta_in_range}")
+    print(f"sweep: {len(report.samples)} samples, {usable} usable, "
+          f"fit {report.fit_flag}{values} -> {files['fit']}")
     return 0
 
 
@@ -151,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="coefficient field file")
     p.add_argument("--g", required=True, help="boundary spec (const:V|coscos|expr:E|file:P)")
     p.add_argument("--out", required=True, help="output field file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    # argparse parses a string default with type, as it would the flag
+    p.add_argument("--tol", type=float, default=DEFAULTS["solver.tol"])
     p.set_defaults(handler=_cmd_forward)
 
     p = sub.add_parser("synth", help="synthesize experiment pairs from a config")
@@ -164,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="boundary spec")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k", type=float, default=10.0, help="coefficient bound K")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, default=DEFAULTS["recon.tol"])
+    p.add_argument("--max-iter", type=int, default=DEFAULTS["recon.max_iter"])
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("diagnose", help="run diagnostics on a stored pair")

@@ -108,15 +108,11 @@ def field_from_spec(grid: Grid, spec: str) -> ScalarField:
     spec = spec.strip()
     if spec.startswith("const:"):
         return ScalarField.constant(grid, float(spec[6:]))
-    if spec == "coscos":
-        if grid.is_1d:
-            return ScalarField.from_function(grid, np.cos)
-        return ScalarField.from_function(grid, lambda x, y: np.cos(x) * np.cos(y))
+    if spec == "coscos":  # cos(0) = 1 leaves cos(x) in 1D
+        return ScalarField.from_function(
+            grid, lambda x, y=0.0: np.cos(x) * np.cos(y))
     if spec.startswith("expr:"):
-        fn = _expr_callable(spec[5:])
-        if grid.is_1d:
-            return ScalarField.from_function(grid, lambda x: fn(x))
-        return ScalarField.from_function(grid, fn)
+        return ScalarField.from_function(grid, _expr_callable(spec[5:]))
     if spec.startswith("file:"):
         f = load_field(spec[5:])
         if f.grid != grid:

@@ -21,7 +21,7 @@ divergence is diagnosed through refinement trends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .synthesis import ExperimentPair
 
 __all__ = [
     "TAU_AP",
+    "CSV_COLUMNS",
     "WeightedChecks",
     "LevelSetResult",
     "DiagnosticsReport",
@@ -237,35 +238,38 @@ def _coarsen(u: ScalarField) -> ScalarField | None:
     return ScalarField(coarse, u.values[::2, ::2])
 
 
+CSV_COLUMNS = ("functional", "center_x", "center_y", "r", "param", "value",
+               "floor_hits")
+_VALUE = CSV_COLUMNS.index("value")
+
+
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Aggregated functional values for one pair, deterministically ordered."""
+    """Measured functional values for one pair, deterministically ordered:
+    one row per value in the diagnostics.csv columns (CSV_COLUMNS), ""
+    where a column does not apply."""
 
-    doubling: list = field(default_factory=list)      # (center, r, ratio)
-    propagation: list = field(default_factory=list)   # (center, r, ratio)
-    ap: list = field(default_factory=list)            # (center, r, p, value, hits)
-    neg_integral: list = field(default_factory=list)  # (d, delta, value, hits)
+    rows: tuple = ()
     weighted: WeightedChecks | None = None
-    level_sets: list = field(default_factory=list)    # (t, value, node_count)
     best_delta: float | None = None
 
     def __post_init__(self):
-        for _, _, v in self.doubling + self.propagation:
-            _check_value(v)
-        for _, _, _, v, _ in self.ap:
-            _check_value(v)
-        for _, _, v, _ in self.neg_integral:
-            _check_value(v)
-        for _, v, _ in self.level_sets:
-            _check_value(v)
+        for row in self.rows:
+            if not np.isfinite(row[_VALUE]) or row[_VALUE] < 0.0:
+                raise ContractViolation(
+                    f"diagnostic {row[0]} value {row[_VALUE]!r} is not "
+                    "finite nonnegative")
+
+    def _values(self, functional: str) -> list:
+        return [row[_VALUE] for row in self.rows if row[0] == functional]
 
     @property
     def max_doubling(self) -> float | None:
-        return max((v for _, _, v in self.doubling), default=None)
+        return max(self._values("doubling"), default=None)
 
     @property
     def min_propagation(self) -> float | None:
-        return min((v for _, _, v in self.propagation), default=None)
+        return min(self._values("propagation"), default=None)
 
     @property
     def proof_bound_margin(self) -> float | None:
@@ -284,11 +288,6 @@ class DiagnosticsReport:
             "best_delta": self.best_delta,
             "proof_bound_margin": self.proof_bound_margin,
         }
-
-
-def _check_value(v: float) -> None:
-    if not np.isfinite(v) or v < 0.0:
-        raise ContractViolation(f"diagnostic value {v!r} is not finite nonnegative")
 
 
 def _ball_centers(grid: Grid, reach: float) -> list[tuple[float, float]]:
@@ -318,13 +317,13 @@ def collect_diagnostics(pair: ExperimentPair) -> DiagnosticsReport:
     doubling, propagation, ap = [], [], []
     for c in _ball_centers(grid, 2.0 * r):
         try:
-            doubling.append((c, r, doubling_ratio(u, c, r)))
+            doubling.append(("doubling", *c, r, "", doubling_ratio(u, c, r), 0))
         except DegenerateBall:
             pass
-        propagation.append((c, r, propagation_ratio(u, c, r)))
+        propagation.append(
+            ("propagation", *c, r, "", propagation_ratio(u, c, r), 0))
         for p in (1.5, 2.0, 3.0):
-            val, hits = muckenhoupt_value(u, c, r, p)
-            ap.append((c, r, p, val, hits))
+            ap.append(("muckenhoupt", *c, r, p, *muckenhoupt_value(u, c, r, p)))
 
     d = pair.bounds.d_margin
     neg = []
@@ -334,54 +333,35 @@ def collect_diagnostics(pair: ExperimentPair) -> DiagnosticsReport:
     best = None
     for delta in (0.25, 0.5, 0.75, 1.0, 1.5):
         val, hits = negative_power_integral(u, d, delta)
-        neg.append((d, delta, val, hits))
+        neg.append(("neg_integral", "", "", d, delta, val, hits))
         if coarse is not None:
             cval, _ = negative_power_integral(coarse, d, delta)
             if abs(val - cval) <= 0.25 * abs(val):
                 best = delta
 
     weighted = weighted_checks(pair) if pair.hypothesis_ok else None
+    weighted_rows = [] if weighted is None else [
+        (name, "", "", "", "", v, 0)
+        for name, v in (("weighted_lhs", weighted.lhs),
+                        ("weighted_proof_bound", weighted.proof_bound),
+                        ("weighted_l3", weighted.l3_lhs),
+                        ("weightq_lhs", weighted.weightq_lhs),
+                        ("weightq_bound_input", weighted.weightq_bound_input))]
 
     fmax = float(pair.f1.values.max())
-    ts = [frac * fmax for frac in (0.1, 0.5, 0.9) if fmax > 0]
     levels = []
-    for t in ts:
+    for t in [frac * fmax for frac in (0.1, 0.5, 0.9) if fmax > 0]:
         res = level_set_error(pair.q1, pair.q2, pair.u1, t)
-        levels.append((t, res.value, res.node_count))
+        levels.append(("level_set", "", "", "", t, res.value, res.node_count))
 
     return DiagnosticsReport(
-        doubling=sorted(doubling),
-        propagation=sorted(propagation),
-        ap=sorted(ap),
-        neg_integral=sorted(neg),
+        rows=(*sorted(doubling), *sorted(propagation), *sorted(ap),
+              *sorted(neg), *weighted_rows, *sorted(levels)),
         weighted=weighted,
-        level_sets=sorted(levels),
         best_delta=best,
     )
 
 
 def write_diagnostics_csv(report: DiagnosticsReport, path) -> Path:
-    """One row per measured functional:
-    functional, center_x, center_y, r, param, value, floor_hits."""
-    rows = []
-    for (cx, cy), r, v in report.doubling:
-        rows.append(("doubling", cx, cy, r, "", v, 0))
-    for (cx, cy), r, v in report.propagation:
-        rows.append(("propagation", cx, cy, r, "", v, 0))
-    for (cx, cy), r, p, v, hits in report.ap:
-        rows.append(("muckenhoupt", cx, cy, r, p, v, hits))
-    for d, delta, v, hits in report.neg_integral:
-        rows.append(("neg_integral", "", "", d, delta, v, hits))
-    if report.weighted is not None:
-        w = report.weighted
-        for name, v in (("weighted_lhs", w.lhs),
-                        ("weighted_proof_bound", w.proof_bound),
-                        ("weighted_l3", w.l3_lhs),
-                        ("weightq_lhs", w.weightq_lhs),
-                        ("weightq_bound_input", w.weightq_bound_input)):
-            rows.append((name, "", "", "", "", v, 0))
-    for t, v, count in report.level_sets:
-        rows.append(("level_set", "", "", "", t, v, count))
-    return write_csv(path, ["functional", "center_x", "center_y", "r",
-                            "param", "value", "floor_hits"], rows)
-
+    """One row per measured functional, in CSV_COLUMNS."""
+    return write_csv(path, CSV_COLUMNS, report.rows)

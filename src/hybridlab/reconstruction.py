@@ -56,7 +56,7 @@ with the load and the residual taken by that stencil on the full field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -77,31 +77,30 @@ from .fields import (
 __all__ = [
     "DirichletLaplacian",
     "ReconstructionResult",
-    "reconstruct_u",
+    "reconstruct",
     "recover_q",
     "reconstruction_error",
-    "reconstruct",
     "save_result_manifest",
 ]
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Fixed-point output: recovered solution, optional coefficient, and
-    the convergence/degeneracy record of the run.  floor_hits and
-    sign_change describe u_hat on the interior nodes with F > 0, where
-    F/u enters the solve: how many lie below the clamp level tau, and
-    whether u_hat takes both signs there."""
+    """Fixed-point output: recovered solution and coefficient, the masks
+    of recover_q, and the convergence/degeneracy record of the run.
+    floor_hits and sign_change describe u_hat on the interior nodes with
+    F > 0, where F/u enters the solve: how many lie below the clamp
+    level tau, and whether u_hat takes both signs there."""
 
     u_hat: ScalarField
-    q_hat: ScalarField | None
+    q_hat: ScalarField
     iterations: int
     final_update_linf: float
     floor_hits: int
     sign_change: bool
     tol: float
-    clamp_mask: np.ndarray | None = None
-    projected_mask: np.ndarray | None = None
+    clamp_mask: np.ndarray
+    projected_mask: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -109,14 +108,12 @@ class ReconstructionResult:
         return self.final_update_linf < self.tol
 
     @property
-    def admissible(self) -> bool | None:
+    def admissible(self) -> bool:
         """Whether q_hat needed no projection onto [1/K, K] outside the
-        clamped nodes; None before q is recovered.  False means the
-        recovered pair breaks the prior bound K, so it is not the pair
-        that made the data (on a sign-changing solution with positive g
-        the fixed point finds a positive one)."""
-        if self.projected_mask is None:
-            return None
+        clamped nodes.  False means the recovered pair breaks the prior
+        bound K, so it is not the pair that made the data (on a
+        sign-changing solution with positive g the fixed point finds a
+        positive one)."""
         return not self.projected_mask.any()
 
 
@@ -220,12 +217,12 @@ class DirichletLaplacian:
         return u
 
 
-def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
-                  max_iter: int = 200,
-                  solver_tol: float = 1e-9) -> ReconstructionResult:
+def reconstruct(f: ScalarField, g, k_bound: float, *,
+                tol: float = 1e-8, max_iter: int = 200,
+                solver_tol: float = 1e-9) -> ReconstructionResult:
     """Recover u from (F, g) by the shifted fixed-point iteration
     u_{k+1} = T_c(u_k), with c read off u_k at every step (module
-    docstring).
+    docstring), then q_hat and its masks by recover_q with K = k_bound.
 
     Stops when the sup-norm update drops below tol or after max_iter
     solves; the result's converged flag distinguishes the two.  The
@@ -268,15 +265,19 @@ def reconstruct_u(f: ScalarField, g, *, tol: float = 1e-8,
         if update < tol or iterations == max_iter:
             break
         u = image
+    u_hat = ScalarField(grid, image)
+    q_hat, clamped, projected = recover_q(f, u_hat, k_bound, tol)
     active = image[positive & interior_mask(grid, 0.0)]
     return ReconstructionResult(
-        u_hat=ScalarField(grid, image),
-        q_hat=None,
+        u_hat=u_hat,
+        q_hat=q_hat,
         iterations=iterations,
         final_update_linf=update,
         floor_hits=int(np.count_nonzero(np.abs(active) < tau)),
         sign_change=bool(np.any(active > 0.0) and np.any(active < 0.0)),
         tol=tol,
+        clamp_mask=clamped,
+        projected_mask=projected,
     )
 
 
@@ -317,18 +318,6 @@ def reconstruction_error(q_hat: ScalarField, q_true: ScalarField,
         raise ContractViolation("coefficient fields live on different grids")
     diff = ScalarField(q_hat.grid, q_hat.values - q_true.values)
     return norms(diff, interior_mask(q_hat.grid, d))
-
-
-def reconstruct(f: ScalarField, g, k_bound: float, *,
-                tol: float = 1e-8, max_iter: int = 200,
-                solver_tol: float = 1e-9) -> ReconstructionResult:
-    """Full pipeline: reconstruct u, then recover and attach q_hat with
-    its clamped and projected masks."""
-    res = reconstruct_u(f, g, tol=tol, max_iter=max_iter,
-                        solver_tol=solver_tol)
-    q_hat, clamped, projected = recover_q(f, res.u_hat, k_bound, tol)
-    return replace(res, q_hat=q_hat, clamp_mask=clamped,
-                   projected_mask=projected)
 
 
 def save_result_manifest(result: ReconstructionResult, path) -> Path:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +66,6 @@ class PerturbResult:
     """A drawn coefficient perturbation plus its clipping record."""
 
     field: ScalarField
-    mode: str
-    amplitude: float
-    seed: int
     clipped_fraction: float
     saturated: bool
     center: tuple[float, float] | None = None
@@ -152,9 +150,6 @@ def perturb_coefficient(q: ScalarField, mode: str, amplitude: float,
         )
     return PerturbResult(
         field=ScalarField(q.grid, clipped),
-        mode=mode,
-        amplitude=float(amplitude),
-        seed=int(seed),
         clipped_fraction=frac,
         saturated=saturated,
         center=center,
@@ -164,25 +159,22 @@ def perturb_coefficient(q: ScalarField, mode: str, amplitude: float,
 
 @dataclass(frozen=True)
 class ExperimentPair:
-    """Two solved experiments sharing boundary data, plus hypothesis flags.
+    """Two solved experiments sharing boundary data.
 
-    flags records k_ok/e_ok/h_ok (a-priori bounds hold for both sides)
-    and hypothesis_ok (boundary gap within sqrt(K epsilon)).
+    The measurements, epsilon, the boundary gap and the flags are read
+    off the four fields and the bounds, once each: flags records
+    k_ok/e_ok/h_ok (a-priori bounds hold for both sides) and
+    hypothesis_ok (boundary gap within sqrt(K epsilon)).
     """
 
     q1: ScalarField
     q2: ScalarField
     u1: ScalarField
     u2: ScalarField
-    f1: ScalarField
-    f2: ScalarField
-    epsilon: float
-    bdry_gap: float
     bounds: PriorBounds
     seed: int
     mode: str
     amplitude: float
-    flags: dict
     report1: SolveReport | None = None
     report2: SolveReport | None = None
 
@@ -190,24 +182,44 @@ class ExperimentPair:
     def grid(self) -> Grid:
         return self.q1.grid
 
+    @cached_property
+    def f1(self) -> ScalarField:
+        return internal_data(self.q1, self.u1)
+
+    @cached_property
+    def f2(self) -> ScalarField:
+        return internal_data(self.q2, self.u2)
+
+    @cached_property
+    def epsilon(self) -> float:
+        """Grid sup norm of f1 - f2."""
+        return float(np.max(np.abs(self.f1.values - self.f2.values)))
+
+    @cached_property
+    def bdry_gap(self) -> float:
+        """Sup over boundary nodes of ||u1| - |u2||."""
+        tr1 = boundary_values(self.grid, self.u1)
+        tr2 = boundary_values(self.grid, self.u2)
+        return float(np.max(np.abs(np.abs(tr1) - np.abs(tr2))))
+
+    @cached_property
+    def flags(self) -> dict:
+        k, e2, h2 = (self.bounds.k_bound, self.bounds.e_bound**2,
+                     self.bounds.h_bound**2)
+        tol = 1e-12 * k
+        sides = ((self.q1, self.u1, self.f1), (self.q2, self.u2, self.f2))
+        return {
+            "k_ok": all(q.values.min() >= 1.0 / k - tol
+                        and q.values.max() <= k + tol for q, _, _ in sides),
+            "e_ok": all(energy(u) <= e2 * (1 + 1e-9) for _, u, _ in sides),
+            "h_ok": all(integrate(f) >= h2 * (1 - 1e-9) for _, _, f in sides),
+            "hypothesis_ok": bool(
+                self.bdry_gap <= np.sqrt(k * self.epsilon) + 1e-15),
+        }
+
     @property
     def hypothesis_ok(self) -> bool:
-        return bool(self.flags["hypothesis_ok"])
-
-
-def _check_bounds_flags(pair_fields, bounds: PriorBounds) -> dict:
-    k, e2, h2 = bounds.k_bound, bounds.e_bound**2, bounds.h_bound**2
-    tol = 1e-12 * k
-    k_ok = all(
-        q.values.min() >= 1.0 / k - tol and q.values.max() <= k + tol
-        for q, _ in pair_fields
-    )
-    e_ok = all(energy(u) <= e2 * (1 + 1e-9) for _, u in pair_fields)
-    h_ok = all(
-        integrate(internal_data(q, u)) >= h2 * (1 - 1e-9)
-        for q, u in pair_fields
-    )
-    return {"k_ok": k_ok, "e_ok": e_ok, "h_ok": h_ok}
+        return self.flags["hypothesis_ok"]
 
 
 def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
@@ -216,10 +228,9 @@ def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
               report1: SolveReport | None = None) -> ExperimentPair:
     """Solve both coefficients against the same g and package the pair.
 
-    epsilon is the grid sup norm of f1 - f2; bdry_gap the sup over
-    boundary nodes of ||u1| - |u2||, zero by construction unless jitter
-    re-solves u2 with boundary data displaced by at most
-    jitter * sqrt(K * epsilon).  Near-singular solves propagate.
+    The boundary gap is zero by construction unless jitter re-solves u2
+    with boundary data displaced by at most jitter * sqrt(K * epsilon),
+    epsilon that of the unjittered pair.  Near-singular solves propagate.
     report1, when given, is the solve of q1 against g already at hand
     (a sweep solves its base coefficient once) and is used in place of
     solving q1 again.
@@ -233,27 +244,18 @@ def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
         raise ContractViolation("report1 lives on another grid than q1")
     op2 = DiscreteOperator(q2)
     rep2 = op2.solve(gvec, tol)
-    f1 = internal_data(q1, rep1.u)
-    f2 = internal_data(q2, rep2.u)
-    eps = float(np.max(np.abs(f1.values - f2.values)))
+    pair = ExperimentPair(
+        q1=q1, q2=q2, u1=rep1.u, u2=rep2.u, bounds=bounds,
+        seed=int(seed), mode=mode, amplitude=float(amplitude),
+        report1=rep1, report2=rep2,
+    )
     if jitter > 0.0:
         rng = np.random.default_rng(seed + 7_650_413)
-        delta = jitter * np.sqrt(bounds.k_bound * eps)
+        delta = jitter * np.sqrt(bounds.k_bound * pair.epsilon)
         g2 = gvec + delta * rng.uniform(-1.0, 1.0, size=gvec.shape)
         rep2 = op2.solve(g2, tol)
-        f2 = internal_data(q2, rep2.u)
-        eps = float(np.max(np.abs(f1.values - f2.values)))
-    tr1 = boundary_values(q1.grid, rep1.u)
-    tr2 = boundary_values(q1.grid, rep2.u)
-    gap = float(np.max(np.abs(np.abs(tr1) - np.abs(tr2))))
-    flags = _check_bounds_flags([(q1, rep1.u), (q2, rep2.u)], bounds)
-    flags["hypothesis_ok"] = bool(gap <= np.sqrt(bounds.k_bound * eps) + 1e-15)
-    return ExperimentPair(
-        q1=q1, q2=q2, u1=rep1.u, u2=rep2.u, f1=f1, f2=f2,
-        epsilon=eps, bdry_gap=gap, bounds=bounds,
-        seed=int(seed), mode=mode, amplitude=float(amplitude),
-        flags=flags, report1=rep1, report2=rep2,
-    )
+        pair = replace(pair, u2=rep2.u, report2=rep2)
+    return pair
 
 
 def save_pair(pair: ExperimentPair, directory) -> Path:
@@ -279,8 +281,10 @@ def save_pair(pair: ExperimentPair, directory) -> Path:
 
 
 def load_pair(path) -> ExperimentPair:
-    """Read a pair from its manifest (or directory), re-deriving F and
-    re-validating the stored epsilon against the loaded fields."""
+    """Read a pair from its manifest (or directory): the four fields, and
+    from the manifest the seed, mode, amplitude and bounds.  The stored
+    epsilon is checked against the one the fields give; the flags and
+    the boundary gap are read off the fields alone."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -288,26 +292,22 @@ def load_pair(path) -> ExperimentPair:
         try:
             m = json.load(fh)
             stored_eps = float(m["epsilon"])
-            bounds = PriorBounds(k_bound=m["k"], e_bound=m["e"],
-                                 h_bound=m["h"], d_margin=m["d"])
-            record = dict(bdry_gap=float(m["bdry_gap"]), seed=int(m["seed"]),
-                          mode=str(m["mode"]), amplitude=float(m["amplitude"]),
-                          flags=dict(m["flags"]))
+            record = dict(
+                bounds=PriorBounds(k_bound=m["k"], e_bound=m["e"],
+                                   h_bound=m["h"], d_margin=m["d"]),
+                seed=int(m["seed"]), mode=str(m["mode"]),
+                amplitude=float(m["amplitude"]))
         except KeyError as exc:
             raise ContractViolation(f"{path}: manifest lacks key {exc}") from None
         except (ValueError, TypeError) as exc:
             raise ContractViolation(f"{path}: malformed manifest: {exc}") from None
-    directory = path.parent
-    fields = {name: load_field(directory / f"{name}.field")
-              for name in ("q1", "q2", "u1", "u2")}
-    f1 = internal_data(fields["q1"], fields["u1"])
-    f2 = internal_data(fields["q2"], fields["u2"])
-    eps = float(np.max(np.abs(f1.values - f2.values)))
-    if abs(eps - stored_eps) > 1e-12 * max(1.0, eps):
-        raise ContractViolation(
-            f"manifest epsilon {stored_eps} disagrees with fields ({eps})"
-        )
-    return ExperimentPair(
-        q1=fields["q1"], q2=fields["q2"], u1=fields["u1"], u2=fields["u2"],
-        f1=f1, f2=f2, epsilon=eps, bounds=bounds, **record,
+    pair = ExperimentPair(
+        **{name: load_field(path.parent / f"{name}.field")
+           for name in ("q1", "q2", "u1", "u2")},
+        **record,
     )
+    if abs(pair.epsilon - stored_eps) > 1e-12 * max(1.0, pair.epsilon):
+        raise ContractViolation(
+            f"manifest epsilon {stored_eps} disagrees with fields ({pair.epsilon})"
+        )
+    return pair

@@ -6,8 +6,8 @@ import pytest
 
 import hybridlab.harness as harness
 from hybridlab import Grid, PriorBounds, ScalarField, load_field, save_field
-from hybridlab.cli import main
-from hybridlab.config import parse_config
+from hybridlab.cli import build_parser, main
+from hybridlab.config import DEFAULTS, parse_config
 from hybridlab.forward import solve_dirichlet
 from hybridlab.harness import SweepConfig, run_sweep
 from hybridlab.synthesis import internal_data
@@ -330,12 +330,35 @@ def test_sweep_emits_reports(tmp_path, capsys):
     out = tmp_path / "report"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     line = capsys.readouterr().out
-    assert "eta_hat=" in line
+    # two usable cells give the line through them, flagged as such
+    assert line.startswith("sweep: 2 samples, 2 usable, fit underdetermined "
+                           "eta_hat=")
+    assert "residual=0.0000 eta_in_range=" in line
     for name in ("samples.csv", "fit.json", "diagnostics.csv", "scatter.svg"):
         assert (out / name).exists(), name
     payload = json.loads((out / "fit.json").read_text())
     assert payload["n_samples"] == 2
     assert payload["fits"]["true"]["underdetermined"] is True
+
+
+def test_sweep_without_a_fit_says_so_once(tmp_path, capsys):
+    # amplitude 0 gives epsilon 0, which no fit can use
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("0.02,0.1", "0"))
+    out = tmp_path / "report"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert line == f"sweep: 1 samples, 0 usable, fit skipped -> {out / 'fit.json'}\n"
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = build_parser()
+    fwd = parser.parse_args(["forward", "--q", "q", "--g", "coscos", "--out", "u"])
+    rec = parser.parse_args(["reconstruct", "--f", "f", "--g", "coscos",
+                             "--out", "r"])
+    assert fwd.tol == float(DEFAULTS["solver.tol"])
+    assert rec.tol == float(DEFAULTS["recon.tol"])
+    assert rec.max_iter == int(DEFAULTS["recon.max_iter"])
 
 
 def test_sweep_bad_config_key_is_contract_error(tmp_path, capsys):

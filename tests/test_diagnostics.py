@@ -3,6 +3,7 @@ weighted estimates, level sets, report aggregation."""
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hybridlab import (
     ScalarField,
 )
 from hybridlab.diagnostics import (
+    DiagnosticsReport,
     collect_diagnostics,
     delta_from_p,
     doubling_ratio,
@@ -344,17 +346,27 @@ def test_positivity_guards_refuse_nan(call):
 def test_collect_diagnostics_structure():
     pair = make_test_pair(nx=33)
     report = collect_diagnostics(pair)
-    assert len(report.doubling) == 9       # 3x3 interior lattice
-    assert len(report.propagation) == 9
-    assert len(report.ap) == 27            # 9 centers x 3 exponents
-    assert len(report.neg_integral) == 5
-    assert len(report.level_sets) == 3
+    counts = Counter(row[0] for row in report.rows)
+    assert counts["doubling"] == 9       # 3x3 interior lattice
+    assert counts["propagation"] == 9
+    assert counts["muckenhoupt"] == 27   # 9 centers x 3 exponents
+    assert counts["neg_integral"] == 5
+    assert counts["level_set"] == 3
     assert report.weighted is not None
     assert report.max_doubling >= 1.0
     assert 0.0 < report.min_propagation <= 1.0
     assert 0.0 <= report.proof_bound_margin <= 1.0
     assert report.best_delta is not None  # positive solution: all stable
     assert report.best_delta == 1.5
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("functional", ["doubling", "weighted_lhs", "level_set"])
+def test_report_refuses_a_value_that_is_not_finite_nonnegative(functional,
+                                                               value):
+    # one check covers every row, the weighted rows included
+    with pytest.raises(ContractViolation, match=functional):
+        DiagnosticsReport(rows=((functional, "", "", "", "", value, 0),))
 
 
 def test_collect_diagnostics_deterministic_files(tmp_path):
@@ -385,5 +397,5 @@ def test_collect_diagnostics_1d_pair():
     q2 = perturb_coefficient(q1, "bump", 0.2, seed=3, bounds=BOUNDS).field
     pair = make_pair(q1, q2, np.array([1.0, 1.0]), BOUNDS)
     report = collect_diagnostics(pair)
-    assert len(report.propagation) == 3  # 1D lattice
+    assert sum(row[0] == "propagation" for row in report.rows) == 3  # 1D lattice
     assert report.weighted.lhs <= report.weighted.proof_bound

@@ -18,7 +18,6 @@ from hybridlab.forward import DiscreteOperator, solve_dirichlet
 from hybridlab.reconstruction import (
     DirichletLaplacian,
     reconstruct,
-    reconstruct_u,
     reconstruction_error,
     recover_q,
     save_result_manifest,
@@ -37,12 +36,12 @@ def coscos_sq(x, y):
     return 2.0 * np.cos(x) ** 2 * np.cos(y) ** 2
 
 
-# --- reconstruct_u ----------------------------------------------------------
+# --- reconstruct ------------------------------------------------------------
 
 def test_zero_measurement_returns_harmonic_extension():
     grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
     f0 = ScalarField.constant(grid, 0.0)
-    res = reconstruct_u(f0, coscos, solver_tol=SOLVER_TOL)
+    res = reconstruct(f0, coscos, K, solver_tol=SOLVER_TOL)
     assert res.iterations == 1
     assert res.converged
     assert res.final_update_linf == 0.0
@@ -135,7 +134,7 @@ def test_sine_transform_non_finite_source_is_solver_failure(bad):
 def test_manufactured_2d_reconstruction(nx):
     grid = Grid(nx=nx, ny=nx, lx=1.0, ly=1.0)
     f = ScalarField.from_function(grid, coscos_sq)
-    res = reconstruct_u(f, coscos)
+    res = reconstruct(f, coscos, K)
     exact = ScalarField.from_function(grid, coscos)
     assert res.converged
     assert not res.sign_change
@@ -147,7 +146,7 @@ def test_manufactured_1d_reconstruction():
     for nx in (33, 65):
         grid = Grid(nx=nx, lx=np.pi / 2)
         f = ScalarField.from_function(grid, lambda x: np.sin(x) ** 2)
-        res = reconstruct_u(f, np.array([0.0, 1.0]))
+        res = reconstruct(f, np.array([0.0, 1.0]), K)
         assert res.converged
         errs.append(np.max(np.abs(res.u_hat.values[0] - np.sin(grid.xs()))))
         assert errs[-1] <= 5.0 * grid.h**2
@@ -161,7 +160,7 @@ def test_fixed_point_consistency_with_forward_solve():
     q = ScalarField.constant(grid, 2.0)
     fwd = solve_dirichlet(q, coscos)
     f = internal_data(q, fwd.u)
-    res = reconstruct_u(f, coscos, tol=1e-10)
+    res = reconstruct(f, coscos, K, tol=1e-10)
     assert np.max(np.abs(res.u_hat.values - fwd.u.values)) <= 1e-7
 
 
@@ -181,29 +180,29 @@ def test_1d_large_grid_converges_to_true_coefficient():
 def test_preconditions_rejected():
     grid = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
     with pytest.raises(ContractViolation):
-        reconstruct_u(ScalarField.constant(grid, -0.5), coscos)
+        reconstruct(ScalarField.constant(grid, -0.5), coscos, K)
     with pytest.raises(ContractViolation):
-        reconstruct_u(ScalarField.constant(grid, 1.0), 0.0)  # g = 0, F > 0
+        reconstruct(ScalarField.constant(grid, 1.0), 0.0, K)  # g = 0, F > 0
     with pytest.raises(ContractViolation):
-        reconstruct_u(ScalarField.constant(grid, 0.0), coscos, max_iter=0)
+        reconstruct(ScalarField.constant(grid, 0.0), coscos, K, max_iter=0)
     # written so that NaN is refused, not run for max_iter steps
     for tol in (np.nan, 0.0):
         with pytest.raises(ContractViolation):
-            reconstruct_u(ScalarField.constant(grid, 1.0), coscos, tol=tol)
+            reconstruct(ScalarField.constant(grid, 1.0), coscos, K, tol=tol)
 
 
 def test_tiny_negative_measurement_clipped():
     grid = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
     vals = np.full(grid.shape, 1e-13)
     vals[4, 4] = -1e-13  # within -tol: clipped, not fatal
-    res = reconstruct_u(ScalarField(grid, vals), coscos)
+    res = reconstruct(ScalarField(grid, vals), coscos, K)
     assert res.converged
 
 
 def test_nonconvergence_is_flagged_not_raised():
     grid = Grid(nx=17, ny=17, lx=1.0, ly=1.0)
     f = ScalarField.from_function(grid, coscos_sq)
-    res = reconstruct_u(f, coscos, tol=1e-14, max_iter=2)
+    res = reconstruct(f, coscos, K, tol=1e-14, max_iter=2)
     assert not res.converged
     assert res.iterations == 2
     assert res.final_update_linf > 1e-14
@@ -241,7 +240,7 @@ def test_near_lambda_1_converges_within_default_max_iter():
     # steps unconverged, 0.16 from u2; the shift c near 19 makes it
     # contract at once
     f, g, u2 = bump_pair(33, 19.0, 0.5, 32.0)
-    res = reconstruct_u(f, g)
+    res = reconstruct(f, g, 32.0)
     assert res.converged and res.iterations < 200
     assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
 
@@ -264,7 +263,7 @@ def test_recon_slow_cell_takes_at_most_12_iterations(amplitude):
     # a cell of the recon-slow benchmark workload (seed0 = 0), which the
     # unshifted iteration takes 109 and 124 steps over
     f, g, u2 = bump_pair(65, 16.0, amplitude, 32.0)
-    res = reconstruct_u(f, g)
+    res = reconstruct(f, g, 32.0)
     assert res.converged and res.iterations <= 12
     assert np.max(np.abs(res.u_hat.values - u2.values)) <= 1e-8
 
@@ -321,7 +320,7 @@ def test_returned_field_is_the_image_of_the_last_iterate(monkeypatch):
 
     monkeypatch.setattr(reconstruction, "_clamp", spy_clamp)
     monkeypatch.setattr(DirichletLaplacian, "solve", spy_solve)
-    res = reconstruct_u(f, g)
+    res = reconstruct(f, g, 32.0)
     # images[0] is the harmonic start; images[k] = T(fed[k - 1])
     assert len(fed) == res.iterations == len(images) - 1
     assert res.converged
@@ -376,7 +375,6 @@ def test_positive_solution_is_admissible(q, amplitude, k_bound, where):
     f, g, _ = bump_pair(33, q, amplitude, k_bound, **where)
     res = reconstruct(f, g, k_bound)
     assert res.converged and res.admissible is True
-    assert reconstruct_u(f, g).admissible is None
 
 
 # --- recover_q --------------------------------------------------------------

@@ -259,21 +259,42 @@ def test_pair_jitter_moves_boundary_gap():
 
 # --- manifests --------------------------------------------------------------
 
-def test_pair_round_trip(tmp_path):
+@pytest.mark.parametrize("jitter", [0.0, 0.5])
+def test_pair_round_trip(tmp_path, jitter):
     g = unit_square(13)
     q1 = ScalarField.constant(g, 2.0)
     q2 = perturb_coefficient(q1, "bump", 0.1, seed=13, bounds=BOUNDS).field
-    pair = make_pair(q1, q2, coscos, BOUNDS, seed=13, mode="bump", amplitude=0.1)
+    pair = make_pair(q1, q2, coscos, BOUNDS, seed=13, mode="bump",
+                     amplitude=0.1, jitter=jitter)
     mpath = save_pair(pair, tmp_path / "pair0")
     assert mpath.name == "manifest.json"
     loaded = load_pair(tmp_path / "pair0")
     assert loaded.epsilon == pair.epsilon
     assert loaded.bdry_gap == pair.bdry_gap
+    assert (loaded.bdry_gap > 0.0) is (jitter > 0.0)
     assert loaded.seed == 13 and loaded.mode == "bump"
     assert loaded.bounds == pair.bounds
     assert loaded.flags == pair.flags
     np.testing.assert_array_equal(loaded.q2.values, pair.q2.values)
     np.testing.assert_array_equal(loaded.u1.values, pair.u1.values)
+
+
+def test_load_pair_reads_flags_and_gap_off_the_fields(tmp_path):
+    # the manifest's flags and boundary gap are a record for readers;
+    # the loaded pair derives both from its four fields and the bounds
+    g = unit_square(13)
+    q1 = ScalarField.constant(g, 2.0)
+    q2 = perturb_coefficient(q1, "bump", 0.1, seed=13, bounds=BOUNDS).field
+    pair = make_pair(q1, q2, coscos, BOUNDS, seed=13, jitter=0.5)
+    mpath = save_pair(pair, tmp_path / "p")
+    manifest = json.loads(mpath.read_text())
+    manifest["flags"] = {name: not ok for name, ok in manifest["flags"].items()}
+    manifest["bdry_gap"] = 123.0
+    mpath.write_text(json.dumps(manifest))
+    loaded = load_pair(mpath)
+    assert loaded.flags == pair.flags
+    assert all(pair.flags.values())
+    assert loaded.bdry_gap == pair.bdry_gap
 
 
 def test_manifest_keys_and_epsilon_revalidation(tmp_path):
