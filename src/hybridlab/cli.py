@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .config import DEFAULTS, g_from_spec, parse_config
 from .counterexample import pathology_table, write_pathology_csv
-from .diagnostics import collect_diagnostics, write_diagnostics_csv
+from .diagnostics import CSV_COLUMNS, collect_diagnostics
 from .errors import ContractViolation, SolverError
-from .fields import load_field, save_field, write_json
+from .fields import load_field, save_field, write_csv, write_json
 from .forward import solve_dirichlet
 from .harness import SweepConfig, emit_report, run_sweep, sweep_pairs
 from .reconstruction import reconstruct, save_result_manifest
@@ -94,7 +94,8 @@ def _cmd_diagnose(args) -> int:
     pair = load_pair(manifest)
     report = collect_diagnostics(pair)
     directory = manifest.parent if manifest.is_file() else manifest
-    csv_path = write_diagnostics_csv(report, directory / "diagnostics.csv")
+    csv_path = write_csv(directory / "diagnostics.csv", CSV_COLUMNS,
+                         report.rows)
     json_path = write_json(directory / "diagnostics.json", report.summary())
     print(
         f"diagnose: max_doubling={report.max_doubling} "

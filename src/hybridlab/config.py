@@ -104,15 +104,23 @@ def _expr_callable(text: str):
 
 
 def field_from_spec(grid: Grid, spec: str) -> ScalarField:
-    """Build a full field on the grid from a spec string."""
+    """Build a full field on the grid from a spec string; a malformed
+    const: or expr: spec raises ContractViolation naming it."""
     spec = spec.strip()
-    if spec.startswith("const:"):
-        return ScalarField.constant(grid, float(spec[6:]))
+    kind, _, text = spec.partition(":")
+    try:
+        if kind == "const":
+            return ScalarField.constant(grid, float(text))
+        if kind == "expr":
+            return ScalarField.from_function(grid, _expr_callable(text))
+    except ContractViolation:
+        raise
+    except Exception as exc:  # the user's own syntax or arithmetic
+        raise ContractViolation(
+            f"field spec {spec!r}: {type(exc).__name__}: {exc}") from exc
     if spec == "coscos":  # cos(0) = 1 leaves cos(x) in 1D
         return ScalarField.from_function(
             grid, lambda x, y=0.0: np.cos(x) * np.cos(y))
-    if spec.startswith("expr:"):
-        return ScalarField.from_function(grid, _expr_callable(spec[5:]))
     if spec.startswith("file:"):
         f = load_field(spec[5:])
         if f.grid != grid:

@@ -22,7 +22,6 @@ divergence is diagnosed through refinement trends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .fields import (
     interior_mask,
     mask_measure,
     norms,
-    write_csv,
 )
 from .synthesis import ExperimentPair
 
@@ -55,7 +53,6 @@ __all__ = [
     "delta_from_p",
     "eta_from_delta",
     "collect_diagnostics",
-    "write_diagnostics_csv",
 ]
 
 TAU_AP = 1e-12
@@ -360,8 +357,3 @@ def collect_diagnostics(pair: ExperimentPair) -> DiagnosticsReport:
         weighted=weighted,
         best_delta=best,
     )
-
-
-def write_diagnostics_csv(report: DiagnosticsReport, path) -> Path:
-    """One row per measured functional, in CSV_COLUMNS."""
-    return write_csv(path, CSV_COLUMNS, report.rows)

@@ -12,12 +12,12 @@ flagged samples; the sweep never aborts.  The cells come from
 sweep_pairs, the one cell loop, which `hybridlab synth` also draws from.
 
 The summary fit is least squares of log(err) against log(sqrt(eps)+eps)
-over hypothesis-satisfying samples, one fit_holder call: two points give
-the exact line, flagged underdetermined, and fewer leave no fit; the
-report's fit_flag is read off that fit.  The fitted power law is a
-summary statistic, not the stability estimate itself; the envelope
-property (samples under c_hat * x^eta_hat * exp(3 * residual)) is what
-tests assert.
+over the usable samples, one fit_holder call that counts every other
+sample in n_excluded: two points give the exact line, flagged
+underdetermined, fewer leave no fit, and fit_flag is read off the fit.
+The fitted power law is a summary statistic, not the stability estimate
+itself; the envelope property (samples under
+c_hat * x^eta_hat * exp(3 * residual)) is what tests assert.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .config import DEFAULTS, _read, field_from_spec, g_from_spec
-from .diagnostics import (
-    DiagnosticsReport,
-    collect_diagnostics,
-    write_diagnostics_csv,
-)
+from .diagnostics import CSV_COLUMNS, DiagnosticsReport, collect_diagnostics
 from .errors import ContractViolation, SolverError, UnderdeterminedFit
 from .fields import (
     Grid,
@@ -153,36 +150,54 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepSample:
-    """One (amplitude, seed) cell of a sweep.
+    """One (amplitude, seed) cell of a sweep and its samples.csv row.
 
-    epsilon and err_l1_interior give the primary (first-margin) point;
-    err_true / err_recon tabulate every requested margin.  A failed cell
-    keeps NaN measurements and flags["failed"] = True.
+    err_true / err_recon map every requested margin, the primary (first)
+    one first, to its L1 error.  A failed cell has no errors, NaN
+    measurements and flags {"failed": True, "failure": <exception class>}.
     """
+
+    # the a-priori hypotheses the fit needs; samples.csv's flag columns
+    HYPOTHESES: ClassVar[tuple] = ("hypothesis_ok", "k_ok", "e_ok", "h_ok")
+    FLAGS: ClassVar[tuple] = ("failed", *HYPOTHESES, "recon_converged")
 
     amplitude: float
     seed: int
-    epsilon: float
-    bdry_gap: float
-    err_l1_interior: float
-    err_true: dict
-    err_recon: dict
     flags: dict
+    epsilon: float = math.nan
+    bdry_gap: float = math.nan
+    err_true: dict = field(default_factory=dict)
+    err_recon: dict = field(default_factory=dict)
+
+    @property
+    def err_l1_interior(self) -> float:
+        """The true coefficient error on the primary margin."""
+        return next(iter(self.err_true.values()), math.nan)
 
     @property
     def usable(self) -> bool:
-        """Eligible for the theorem-side fit."""
-        return (
-            not self.flags.get("failed", False)
-            and self.flags.get("hypothesis_ok", False)
-            and self.flags.get("k_ok", False)
-            and self.flags.get("e_ok", False)
-            and self.flags.get("h_ok", False)
-            and np.isfinite(self.epsilon)
-            and self.epsilon > 0.0
-            and np.isfinite(self.err_l1_interior)
-            and self.err_l1_interior > 0.0
-        )
+        """Eligible for the theorem-side fit (of err_true, which the
+        reconstruction does not touch): not failed, the hypotheses hold,
+        epsilon and the primary error finite and > 0."""
+        return (not self.flags.get("failed", False)
+                and all(self.flags.get(c, False) for c in self.HYPOTHESES)
+                and 0.0 < self.epsilon < math.inf
+                and 0.0 < self.err_l1_interior < math.inf)
+
+    @classmethod
+    def header(cls, ds) -> list:
+        """samples.csv's columns for the margins ds."""
+        return (["amplitude", "seed", "epsilon", "bdry_gap"]
+                + [f"err_true_d{float(d):g}" for d in ds]
+                + [f"err_recon_d{float(d):g}" for d in ds]
+                + list(cls.FLAGS))
+
+    def row(self, ds) -> list:
+        """This cell's samples.csv row, NaN where a margin has no error."""
+        return ([self.amplitude, self.seed, self.epsilon, self.bdry_gap]
+                + [self.err_true.get(d, math.nan) for d in ds]
+                + [self.err_recon.get(d, math.nan) for d in ds]
+                + [int(bool(self.flags.get(c, False))) for c in self.FLAGS])
 
 
 @dataclass(frozen=True)
@@ -336,22 +351,14 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
     for amplitude, seed, pair in sweep_pairs(config):
         if isinstance(pair, Exception):
             samples.append(SweepSample(
-                amplitude=float(amplitude), seed=int(seed),
-                epsilon=float("nan"), bdry_gap=float("nan"),
-                err_l1_interior=float("nan"),
-                err_true={}, err_recon={},
-                flags={"failed": True, "failure": type(pair).__name__},
-            ))
+                float(amplitude), int(seed),
+                {"failed": True, "failure": type(pair).__name__}))
             continue
 
-        err_true = {
-            d: reconstruction_error(pair.q1, pair.q2, d).l1
-            for d in config.d_list
-        }
-
+        err_true = {d: reconstruction_error(pair.q1, pair.q2, d).l1
+                    for d in config.d_list}
         err_recon = {}
-        flags = dict(pair.flags)
-        flags["failed"] = False
+        flags = dict(pair.flags, failed=False, recon_converged=False)
         try:
             # u2's trace made F2: g, or the displaced g2 under jitter
             recon = reconstruct(
@@ -359,21 +366,16 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
                 tol=config.recon_tol, max_iter=config.recon_max_iter,
                 solver_tol=config.solver_tol,
             )
-            err_recon = {
-                d: reconstruction_error(recon.q_hat, pair.q2, d).l1
-                for d in config.d_list
-            }
+            err_recon = {d: reconstruction_error(recon.q_hat, pair.q2, d).l1
+                         for d in config.d_list}
             flags["recon_converged"] = bool(recon.converged)
         except (SolverError, ContractViolation) as exc:
-            flags["recon_converged"] = False
             flags["recon_failure"] = type(exc).__name__
 
         sample = SweepSample(
-            amplitude=float(amplitude), seed=int(seed),
+            float(amplitude), int(seed), flags,
             epsilon=pair.epsilon, bdry_gap=pair.bdry_gap,
-            err_l1_interior=err_true[config.d_list[0]],
             err_true=err_true, err_recon=err_recon,
-            flags=flags,
         )
         samples.append(sample)
 
@@ -383,9 +385,9 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
                 diag_key = key
                 diag_pair = pair
 
-    try:
-        fit = fit_holder(
-            [(s.epsilon, s.err_l1_interior) for s in samples if s.usable])
+    try:  # an unusable sample goes in as (nan, nan), counted as excluded
+        fit = fit_holder([(s.epsilon, s.err_l1_interior) if s.usable
+                          else (math.nan, math.nan) for s in samples])
     except UnderdeterminedFit:
         fit = None
     diagnostics = (
@@ -395,10 +397,6 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
         samples=tuple(samples), config=config, fit=fit,
         diagnostics=diagnostics,
     )
-
-
-def _d_tag(d: float) -> str:
-    return format(float(d), "g")
 
 
 def emit_report(report: StabilityReport, out_dir) -> dict:
@@ -414,30 +412,14 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
         raise OSError(f"creating report directory {out}: {exc}") from exc
 
     ds = list(report.config.d_list)
-    flag_cols = ["failed", "hypothesis_ok", "k_ok", "e_ok", "h_ok",
-                 "recon_converged"]
-    header = (
-        ["amplitude", "seed", "epsilon", "bdry_gap"]
-        + [f"err_true_d{_d_tag(d)}" for d in ds]
-        + [f"err_recon_d{_d_tag(d)}" for d in ds]
-        + flag_cols
-    )
-    rows = []
-    for s in sorted(report.samples, key=lambda s: (s.amplitude, s.seed)):
-        row = [s.amplitude, s.seed, s.epsilon, s.bdry_gap]
-        row += [s.err_true.get(d, float("nan")) for d in ds]
-        row += [s.err_recon.get(d, float("nan")) for d in ds]
-        row += [int(bool(s.flags.get(c, False))) for c in flag_cols]
-        rows.append(row)
-    samples_path = write_csv(out / "samples.csv", header, rows)
+    samples_path = write_csv(
+        out / "samples.csv", SweepSample.header(ds),
+        [s.row(ds) for s in sorted(report.samples,
+                                   key=lambda s: (s.amplitude, s.seed))])
+    diag = report.diagnostics
+    diag_path = write_csv(out / "diagnostics.csv", CSV_COLUMNS,
+                          () if diag is None else diag.rows)
 
-    diag = report.diagnostics or DiagnosticsReport()
-    diag_path = write_diagnostics_csv(diag, out / "diagnostics.csv")
-
-    summary = (
-        report.diagnostics.summary() if report.diagnostics is not None
-        else None
-    )
     fit = report.fit  # keyed "true", as report readers expect
     fit_payload = {
         "fits": {"true": None if fit is None else asdict(fit)},
@@ -445,7 +427,7 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
         "eta_in_range": report.eta_in_range,
         "n_samples": len(report.samples),
         "d_list": ds,
-        "diagnostics_summary": summary,
+        "diagnostics_summary": None if diag is None else diag.summary(),
         "config": report.config.echo,
     }
     fit_path = write_json(out / "fit.json", fit_payload)
@@ -472,8 +454,7 @@ def _scatter_svg(report: StabilityReport) -> str:
     polyline for the fit, no timestamps or library metadata."""
     pts = []
     for s in sorted(report.samples, key=lambda s: (s.amplitude, s.seed)):
-        if (np.isfinite(s.epsilon) and s.epsilon > 0
-                and np.isfinite(s.err_l1_interior) and s.err_l1_interior > 0):
+        if 0 < s.epsilon < math.inf and 0 < s.err_l1_interior < math.inf:
             x = math.sqrt(s.epsilon) + s.epsilon
             pts.append((math.log10(x), math.log10(s.err_l1_interior)))
 

@@ -230,8 +230,12 @@ def reconstruct(f: ScalarField, g, k_bound: float, *,
     on the interior nodes with F > 0; a u_hat of both signs there has
     left the positive-solution regime, which is flagged, not fatal.
     """
-    if not tol > 0:  # refuses NaN too
-        raise ContractViolation(f"tol must be positive, got {tol}")
+    # refused before the first solve, each test refusing NaN too
+    for ok, message in ((tol > 0, f"tol must be positive, got {tol}"),
+                        (max_iter >= 1, f"max_iter must be >= 1, got {max_iter}"),
+                        (k_bound >= 1, f"K must be >= 1, got {k_bound}")):
+        if not ok:
+            raise ContractViolation(message)
     grid = f.grid
     fvals = f.values.copy()
     neg = fvals < -max(tol, 1e-12)
@@ -249,8 +253,6 @@ def reconstruct(f: ScalarField, g, k_bound: float, *,
             "positive-solution ansatz cannot hold"
         )
     tau = _auto_tau(g_linf)
-    if max_iter < 1:
-        raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
 
     lap = DirichletLaplacian(grid)
     u = lap.solve(gfull, tol=solver_tol)

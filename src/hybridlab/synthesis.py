@@ -254,7 +254,9 @@ def make_pair(q1: ScalarField, q2: ScalarField, g, bounds: PriorBounds, *,
         delta = jitter * np.sqrt(bounds.k_bound * pair.epsilon)
         g2 = gvec + delta * rng.uniform(-1.0, 1.0, size=gvec.shape)
         rep2 = op2.solve(g2, tol)
+        f1 = pair.f1
         pair = replace(pair, u2=rep2.u, report2=rep2)
+        pair.__dict__["f1"] = f1  # q1 and u1 are unchanged: keep the cache
     return pair
 
 

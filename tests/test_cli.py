@@ -61,6 +61,24 @@ def test_forward_bad_boundary_spec_is_contract_error(tmp_path, q_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("spec", ["expr:x+", "expr:1/0+x", "expr:x(1)",
+                                  "const:abc"])
+def test_forward_malformed_spec_is_contract_error_naming_it(
+        tmp_path, q_file, capsys, spec):
+    code = main(["forward", "--q", str(q_file), "--g", spec,
+                 "--out", str(tmp_path / "u.field")])
+    assert code == 2
+    assert spec in capsys.readouterr().err
+
+
+def test_sweep_spec_failing_to_evaluate_is_contract_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("const:2", "expr:1/0*x"))
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "expr:1/0*x" in capsys.readouterr().err
+
 def test_forward_near_singular_is_solver_failure(tmp_path, capsys):
     grid = Grid(nx=33, ny=33, lx=1.0, ly=1.0)
     mu = (4.0 / grid.h**2) * (1.0 - math.cos(math.pi * grid.h))

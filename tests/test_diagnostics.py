@@ -16,6 +16,7 @@ from hybridlab import (
     ScalarField,
 )
 from hybridlab.diagnostics import (
+    CSV_COLUMNS,
     DiagnosticsReport,
     collect_diagnostics,
     delta_from_p,
@@ -26,14 +27,19 @@ from hybridlab.diagnostics import (
     negative_power_integral,
     propagation_ratio,
     weighted_checks,
-    write_diagnostics_csv,
 )
 from hybridlab.counterexample import (
     OscillatoryFamily,
     coefficient_gap,
     residual_check,
 )
-from hybridlab.fields import ball_mask, interior_mask, mask_measure, write_json
+from hybridlab.fields import (
+    ball_mask,
+    interior_mask,
+    mask_measure,
+    write_csv,
+    write_json,
+)
 from hybridlab.synthesis import make_pair, perturb_coefficient
 
 BOUNDS = PriorBounds(k_bound=4.0, e_bound=10.0, h_bound=0.2, d_margin=0.1)
@@ -372,8 +378,8 @@ def test_report_refuses_a_value_that_is_not_finite_nonnegative(functional,
 def test_collect_diagnostics_deterministic_files(tmp_path):
     pair = make_test_pair(nx=33)
     report = collect_diagnostics(pair)
-    p1 = write_diagnostics_csv(report, tmp_path / "a.csv")
-    p2 = write_diagnostics_csv(report, tmp_path / "b.csv")
+    p1 = write_csv(tmp_path / "a.csv", CSV_COLUMNS, report.rows)
+    p2 = write_csv(tmp_path / "b.csv", CSV_COLUMNS, report.rows)
     assert p1.read_bytes() == p2.read_bytes()
     rows = list(csv.DictReader(p1.read_text().splitlines()))
     assert rows[0].keys() == {

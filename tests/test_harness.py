@@ -296,6 +296,54 @@ def test_sweep_zero_amplitude_skips_fit():
     assert not rep.eta_in_range
 
 
+
+def test_fit_counts_the_samples_it_leaves_out(tmp_path):
+    # amplitude 0 gives epsilon 0: kept as a flagged row, left out of the fit
+    cfg = small_sweep_config(amplitudes=(0.0, 0.02, 0.1, 0.5), seeds=1,
+                             d_list=(0.125,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_sweep(cfg)
+    fit = json.loads(emit_report(rep, tmp_path)["fit"].read_text())
+    assert fit["n_samples"] == 4
+    assert fit["fits"]["true"]["n_used"] == 3
+    assert fit["fits"]["true"]["n_excluded"] == 1
+
+
+def test_samples_csv_rows_match_the_header_failed_cells_included(tmp_path):
+    ok_flags = dict.fromkeys(SweepSample.FLAGS, True) | {"failed": False}
+    samples = (
+        SweepSample(0.1, 0, ok_flags, epsilon=1e-3, bdry_gap=0.0,
+                    err_true={0.125: 2e-2, 0.25: 1e-2},
+                    err_recon={0.125: 1e-10, 0.25: 1e-10}),
+        SweepSample(0.2, 0, {"failed": True, "failure": "NearSingularError"}),
+    )
+    rep = StabilityReport(
+        samples=samples, config=small_sweep_config(echo={}), fit=None,
+        diagnostics=None,
+    )
+    path = emit_report(rep, tmp_path)["samples"]
+    header, *rows = list(csv.reader(path.read_text().splitlines()))
+    assert len(rows) == 2 and {len(row) for row in rows} == {len(header)}
+    assert header[-len(SweepSample.FLAGS):] == list(SweepSample.FLAGS)
+    failed = dict(zip(header, rows[1]))
+    assert failed["failed"] == "1" and failed["recon_converged"] == "0"
+    assert failed["epsilon"] == failed["err_true_d0.25"] == "nan"
+    assert samples[0].err_l1_interior == 2e-2
+    assert math.isnan(samples[1].err_l1_interior)
+
+
+@pytest.mark.parametrize("flag", SweepSample.FLAGS)
+def test_usable_reads_the_flag_columns(flag):
+    # every flag but the reconstruction's gates the fit of err_true
+    ok_flags = dict.fromkeys(SweepSample.FLAGS, True) | {"failed": False}
+    flipped = dict(ok_flags, **{flag: not ok_flags[flag]})
+    sample = SweepSample(0.1, 0, flipped, epsilon=1e-3,
+                         err_true={0.125: 2e-2})
+    assert SweepSample(0.1, 0, ok_flags, epsilon=1e-3,
+                       err_true={0.125: 2e-2}).usable
+    assert sample.usable is (flag == "recon_converged")
+
 def test_sweep_two_point_fit_passes_through_samples():
     cfg = small_sweep_config(amplitudes=(0.01, 0.2), seeds=1, d_list=(0.125,))
     with warnings.catch_warnings():
@@ -470,8 +518,7 @@ def test_scatter_keeps_samples_above_the_fit_line_inside_the_plot(tmp_path):
     # the y-range must come from the sample maximum, not the line
     samples = tuple(
         SweepSample(amplitude=a, seed=0, epsilon=eps, bdry_gap=0.0,
-                    err_l1_interior=err, err_true={0.125: err},
-                    err_recon={}, flags={})
+                    err_true={0.125: err}, err_recon={}, flags={})
         for a, eps, err in ((0.1, 1e-4, 1e-2), (1.0, 1e-2, 1.0))
     )
     fit = HolderFit(c_hat=1e-3, eta_hat=1.0, residual_rms=0.0,

@@ -247,7 +247,7 @@ def test_near_lambda_1_converges_within_default_max_iter():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("amplitude", [0.5, 1.0, 2.0, 4.0])
-def test_mixing_keeps_positive_data_in_the_positive_cone(amplitude, seed):
+def test_positive_data_stays_in_the_positive_cone(amplitude, seed):
     # q = 18 under lambda_1 with a positive u2: an iterate that leaves
     # the positive cone here converges 63 to 79 from u2.  The shifted map
     # keeps a positive iterate positive by the maximum principle
@@ -433,6 +433,22 @@ def test_recover_q_always_inside_prior_interval():
     with pytest.raises(ContractViolation, match="K must be >= 1"):
         recover_q(f, u, 0.5)
 
+
+
+@pytest.mark.parametrize("k_bound", [0.5, np.nan])
+def test_reconstruct_refuses_k_bound_before_any_solve(monkeypatch, k_bound):
+    f, g, _ = bump_pair(65, 16.0, 0.5, 32.0)
+    solves = []
+    solve = DirichletLaplacian.solve
+
+    def counting(self, *args, **kwargs):
+        solves.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirichletLaplacian, "solve", counting)
+    with pytest.raises(ContractViolation, match="K must be >= 1"):
+        reconstruct(f, g, k_bound)
+    assert not solves
 
 # --- end-to-end and error reporting ----------------------------------------
 

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import hybridlab.synthesis
 from hybridlab import ContractViolation, Grid, PriorBounds, ScalarField
 from hybridlab.forward import solve_dirichlet
 from hybridlab.synthesis import (
+    ExperimentPair,
     internal_data,
     load_pair,
     make_pair,
@@ -256,6 +258,29 @@ def test_pair_jitter_moves_boundary_gap():
     assert stressed.bdry_gap > 0.0
     assert stressed.bdry_gap <= np.sqrt(BOUNDS.k_bound * stressed.epsilon) + 1e-12
 
+
+
+def test_jittered_pair_computes_f1_once(monkeypatch):
+    # F1, then F2 before and after the jitter: the jittered pair keeps F1
+    g = unit_square(17)
+    q1 = ScalarField.constant(g, 2.0)
+    q2 = perturb_coefficient(q1, "bump", 0.2, seed=21, bounds=BOUNDS).field
+    calls = []
+
+    def counting(q, u):
+        calls.append(q)
+        return internal_data(q, u)
+
+    monkeypatch.setattr(hybridlab.synthesis, "internal_data", counting)
+    pair = make_pair(q1, q2, coscos, BOUNDS, seed=21, jitter=0.5)
+    pair.epsilon, pair.flags
+    assert len(calls) == 3
+    monkeypatch.undo()
+    fresh = ExperimentPair(q1=pair.q1, q2=pair.q2, u1=pair.u1, u2=pair.u2,
+                           bounds=BOUNDS, seed=21, mode="custom",
+                           amplitude=0.0)
+    np.testing.assert_array_equal(pair.f1.values, fresh.f1.values)
+    assert pair.epsilon == fresh.epsilon and pair.flags == fresh.flags
 
 # --- manifests --------------------------------------------------------------
 
