@@ -97,15 +97,17 @@ def _expr_callable(text: str):
         ns = dict(_EXPR_NAMES)
         ns["x"] = x
         ns["y"] = 0.0 if y is None else y
-        out = eval(code, {"__builtins__": {}}, ns)
+        # a non-finite value is refused with the spec named, not warned of
+        with np.errstate(all="ignore"):
+            out = eval(code, {"__builtins__": {}}, ns)
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy()
 
     return fn
 
 
 def field_from_spec(grid: Grid, spec: str) -> ScalarField:
-    """Build a full field on the grid from a spec string; a malformed
-    const: or expr: spec raises ContractViolation naming it."""
+    """Build a full field on the grid from a spec string; a malformed or
+    non-finite const: or expr: spec raises ContractViolation naming it."""
     spec = spec.strip()
     kind, _, text = spec.partition(":")
     try:
@@ -113,11 +115,10 @@ def field_from_spec(grid: Grid, spec: str) -> ScalarField:
             return ScalarField.constant(grid, float(text))
         if kind == "expr":
             return ScalarField.from_function(grid, _expr_callable(text))
-    except ContractViolation:
-        raise
-    except Exception as exc:  # the user's own syntax or arithmetic
-        raise ContractViolation(
-            f"field spec {spec!r}: {type(exc).__name__}: {exc}") from exc
+    except Exception as exc:  # the user's own syntax, arithmetic or values
+        cause = ("" if isinstance(exc, ContractViolation)
+                 else f"{type(exc).__name__}: ")
+        raise ContractViolation(f"field spec {spec!r}: {cause}{exc}") from exc
     if spec == "coscos":  # cos(0) = 1 leaves cos(x) in 1D
         return ScalarField.from_function(
             grid, lambda x, y=0.0: np.cos(x) * np.cos(y))

@@ -365,25 +365,27 @@ def energy(u: ScalarField) -> float:
 
 # ---------------------------------------------------------------------------
 # report and field-file I/O: every file the package writes goes through
-# write_text, so an OSError always names the path.  Floats are written with
-# 17 significant digits (exact float64 round trip).
-
-_FLOAT = "%.17g"
+# _write, so an OSError always names the path.  Report floats are written
+# with 17 significant digits (exact float64 round trip), field values as
+# their float64 bytes.
 
 
 def _fmt(v: float) -> str:
-    return _FLOAT % float(v)
+    return "%.17g" % float(v)
 
 
-def write_text(path, text: str) -> Path:
-    """Write text unchanged (no newline translation); returns the path."""
+def _write(path, data: bytes) -> Path:
     path = Path(path)
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        path.write_bytes(data)
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
     return path
+
+
+def write_text(path, text: str) -> Path:
+    """Write text as UTF-8, no newline translation; returns the path."""
+    return _write(path, text.encode())
 
 
 def write_json(path, payload) -> Path:
@@ -405,30 +407,36 @@ def write_csv(path, header, rows) -> Path:
     return write_text(path, buf.getvalue())
 
 
-# field file format: line 1 "FIELD v1 nx ny lx ly", then nx*ny values
-# row-major, one per line.
+# field file format: the line "FIELD v2 nx ny lx ly", then nx*ny
+# little-endian float64 values, row-major, and nothing after them.
+_FIELD_DTYPE = "<f8"
+_V1_HINT = ("FIELD v1 text files are no longer read; convert one: header "
+            "with v1 -> v2, then np.loadtxt(path, skiprows=1).astype('<f8')"
+            ".tobytes() (README, Field files)")
+
 
 def save_field(f: ScalarField, path) -> None:
     g = f.grid
-    header = f"FIELD v1 {g.nx} {g.ny} {_fmt(g.lx)} {_fmt(g.ly)}\n"
-    # one %-format over every value: the same text as _fmt on each
-    values = f.values.ravel().tolist()
-    write_text(path, header + ((_FLOAT + "\n") * len(values)) % tuple(values))
+    header = f"FIELD v2 {g.nx} {g.ny} {_fmt(g.lx)} {_fmt(g.ly)}\n"
+    _write(path, header.encode()
+           + np.ascontiguousarray(f.values, _FIELD_DTYPE).tobytes())
 
 
 def load_field(path) -> ScalarField:
     """Read a field file; a malformed one raises ContractViolation naming it."""
+    line, _, body = Path(path).read_bytes().partition(b"\n")
+    header = line.split()
     try:
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 6 or header[0] != "FIELD" or header[1] != "v1":
-                raise ContractViolation("not a FIELD v1 file")
-            nx, ny = int(header[2]), int(header[3])
-            lx, ly = float(header[4]), float(header[5])
-            vals = np.loadtxt(fh, dtype=float, ndmin=1)
-        grid = Grid(nx=nx, ny=ny, lx=lx, ly=ly)
-        if vals.size != grid.n_nodes:
-            raise ContractViolation(f"{vals.size} values for a {nx}x{ny} grid")
-        return ScalarField(grid, vals)
+        if header[:2] == [b"FIELD", b"v1"]:
+            raise ContractViolation(_V1_HINT)
+        if len(header) != 6 or header[:2] != [b"FIELD", b"v2"]:
+            raise ContractViolation("not a FIELD v2 file")
+        nx, ny = int(header[2]), int(header[3])
+        grid = Grid(nx=nx, ny=ny, lx=float(header[4]), ly=float(header[5]))
+        size = np.dtype(_FIELD_DTYPE).itemsize * grid.n_nodes
+        if len(body) != size:
+            raise ContractViolation(f"{len(body)} bytes of values for a "
+                                    f"{nx}x{ny} grid, expected {size}")
+        return ScalarField(grid, np.frombuffer(body, _FIELD_DTYPE))
     except ValueError as exc:  # ContractViolation included
         raise ContractViolation(f"{path}: {exc}") from None

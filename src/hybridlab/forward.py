@@ -41,6 +41,9 @@ hard spectra: q midway between the two lowest eigenvalues, which puts
 three eigenvalues at the smallest modulus, or q = 64.  The solver
 takes no prior: the range 1/K <= q <= K is a hypothesis on the
 experiment, which synthesis.make_pair records as each pair's k_ok flag.
+
+scipy is imported by the first operator's assembly, not with the
+package: diagnose, reconstruct and counterexample never build one.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ContractViolation, NearSingularError, SolverFailure
 from .fields import Grid, ScalarField, boundary_field, interior_mask
@@ -111,6 +111,8 @@ def _pattern(grid: Grid):
     Laplacian (q = 0) with its unknowns in elimination order, the
     row-major interior index and the flat grid index of each unknown,
     and the positions of the diagonal in the matrix data."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
     interior = interior_mask(grid, 0.0)
     n = int(interior.sum())
     # each arm couples an interior unknown (row) to its neighbour
@@ -150,6 +152,7 @@ class DiscreteOperator:
     """
 
     def __init__(self, q: ScalarField):
+        import scipy.sparse as sp
         grid = q.grid
         self.grid = grid
         self.q = q
@@ -182,6 +185,7 @@ class DiscreteOperator:
         # glibc can trim the heap once the factor is freed; factoring
         # the matrix itself raised a two-cell nx = 129 sweep's peak RSS
         # from 85 to 97 MB
+        from scipy.sparse.linalg import splu
         try:
             return splu(self.matrix.copy(), permc_spec="NATURAL")
         except RuntimeError:
@@ -198,10 +202,11 @@ class DiscreteOperator:
     @cached_property
     def _gap(self) -> EigenGap:
         if self.n <= 3:
-            lam = scipy.linalg.eigvalsh(self.matrix.toarray())
+            lam = np.linalg.eigvalsh(self.matrix.toarray())
             return EigenGap(float(np.min(np.abs(lam))))
         if self._lu is None:
             return EigenGap(0.0)
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
         opinv = LinearOperator(self.matrix.shape, matvec=self._lu.solve,
                                dtype=float)
         try:

@@ -276,8 +276,8 @@ def fit_holder(samples) -> HolderFit:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Sweep outcome: samples, the one fit, a diagnostics digest, and the
-    config that ran."""
+    """Sweep outcome: samples in (amplitude, seed) order, the one fit, a
+    diagnostics digest, and the config that ran."""
 
     samples: tuple
     config: SweepConfig
@@ -385,6 +385,7 @@ def run_sweep(config: SweepConfig) -> StabilityReport:
                 diag_key = key
                 diag_pair = pair
 
+    samples.sort(key=lambda s: (s.amplitude, s.seed))
     try:  # an unusable sample goes in as (nan, nan), counted as excluded
         fit = fit_holder([(s.epsilon, s.err_l1_interior) if s.usable
                           else (math.nan, math.nan) for s in samples])
@@ -414,8 +415,7 @@ def emit_report(report: StabilityReport, out_dir) -> dict:
     ds = list(report.config.d_list)
     samples_path = write_csv(
         out / "samples.csv", SweepSample.header(ds),
-        [s.row(ds) for s in sorted(report.samples,
-                                   key=lambda s: (s.amplitude, s.seed))])
+        [s.row(ds) for s in report.samples])
     diag = report.diagnostics
     diag_path = write_csv(out / "diagnostics.csv", CSV_COLUMNS,
                           () if diag is None else diag.rows)
@@ -453,7 +453,7 @@ def _scatter_svg(report: StabilityReport) -> str:
     """Hand-built log-log scatter: one circle per plottable sample, a
     polyline for the fit, no timestamps or library metadata."""
     pts = []
-    for s in sorted(report.samples, key=lambda s: (s.amplitude, s.seed)):
+    for s in report.samples:
         if 0 < s.epsilon < math.inf and 0 < s.err_l1_interior < math.inf:
             x = math.sqrt(s.epsilon) + s.epsilon
             pts.append((math.log10(x), math.log10(s.err_l1_interior)))

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,13 +69,14 @@ def test_forward_bad_boundary_spec_is_contract_error(tmp_path, q_file, capsys):
 
 
 @pytest.mark.parametrize("spec", ["expr:x+", "expr:1/0+x", "expr:x(1)",
-                                  "const:abc"])
+                                  "const:abc", "expr:1/x"])
 def test_forward_malformed_spec_is_contract_error_naming_it(
-        tmp_path, q_file, capsys, spec):
+        tmp_path, q_file, capsys, recwarn, spec):
     code = main(["forward", "--q", str(q_file), "--g", spec,
                  "--out", str(tmp_path / "u.field")])
     assert code == 2
     assert spec in capsys.readouterr().err
+    assert not recwarn.list  # a warning would reach the user's stderr
 
 
 def test_sweep_spec_failing_to_evaluate_is_contract_error(tmp_path, capsys):
@@ -277,31 +284,51 @@ def test_empty_sweep_out_needs_output_directory(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
-@pytest.mark.parametrize("text", [
-    "FIELD v1 x 3 1 1\n",                    # header count is not an integer
-    "FIELD v1 1 3 1 1\n" + "1\n" * 3,        # nx = 1 is not a grid
-    "FIELD v1 3 1 1 0\n1\nabc\n1\n",        # value is not a number
-    "FIELD v1 5 5 nan nan\n" + "1\n" * 25,  # extents are not finite
-], ids=["bad-count", "nx-1", "bad-value", "nan-extent"])
-def test_forward_malformed_field_file_names_path(tmp_path, capsys, text):
+def _v2(header: str, values, tail: bytes = b"") -> bytes:
+    """A hand-written field file: header line, float64 values, tail."""
+    return header.encode() + np.asarray(values, "<f8").tobytes() + tail
+
+
+@pytest.mark.parametrize("data, reason", [
+    # header count is not an integer
+    (_v2("FIELD v2 x 3 1 1\n", []), "invalid literal for int()"),
+    # nx = 1 is not a grid
+    (_v2("FIELD v2 1 3 1 1\n", [1.0] * 3), "nx must be >= 3"),
+    # a value is not finite
+    (_v2("FIELD v2 3 1 1 0\n", [1.0, np.nan, 1.0]), "must be finite"),
+    # extents are not finite
+    (_v2("FIELD v2 5 5 nan nan\n", [1.0] * 25), "lx must be finite"),
+    # the body ends early, or runs on
+    (_v2("FIELD v2 3 1 1 0\n", [1.0] * 2), "16 bytes of values"),
+    (_v2("FIELD v2 3 1 1 0\n", [1.0] * 3, b"\0"), "25 bytes of values"),
+    # the retired text format, refused with its conversion
+    (b"FIELD v1 3 1 1 0\n1\n1\n1\n", ".astype('<f8').tobytes()"),
+], ids=["bad-count", "nx-1", "bad-value", "nan-extent", "truncated",
+        "trailing", "v1"])
+def test_forward_malformed_field_file_names_path(tmp_path, capsys, data,
+                                                 reason):
     bad = tmp_path / "bad.field"
-    bad.write_text(text)
+    bad.write_bytes(data)
     code = main(["forward", "--q", str(bad), "--g", "const:1",
                  "--out", str(tmp_path / "u.field")])
     assert code == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err
+    assert reason in err
 
 
 @pytest.mark.parametrize("extents", ["nan nan", "inf inf"])
 def test_reconstruct_non_finite_extent_is_contract_error(tmp_path, capsys,
                                                          extents):
     bad = tmp_path / "f.field"
-    bad.write_text(f"FIELD v1 5 5 {extents}\n" + "1\n" * 25)
+    bad.write_bytes(_v2(f"FIELD v2 5 5 {extents}\n", [1.0] * 25))
     out = tmp_path / "recon"
     code = main(["reconstruct", "--f", str(bad), "--g", "coscos",
                  "--out", str(out)])
     assert code == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "lx must be finite" in err
     assert not out.exists()
 
 
@@ -388,3 +415,53 @@ def test_sweep_bad_config_key_is_contract_error(tmp_path, capsys):
 def test_sweep_missing_config_file_is_io_error(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "r")]) == 4
+
+
+# --- start-up ------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def stored_pair(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    cfg = root / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(cfg), "--out", str(root)]) == 0
+    pair = root / "pair_a0.02_s0"
+    f2 = internal_data(load_field(pair / "q2.field"),
+                       load_field(pair / "u2.field"))
+    save_field(f2, pair / "f2.field")
+    return pair
+
+
+def _imports_scipy(code: str, cwd) -> bool:
+    """Run code in a fresh interpreter on src/; whether scipy got loaded."""
+    probe = code + "\nimport sys; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1] == "True"
+
+
+def test_import_leaves_scipy_out(tmp_path):
+    assert not _imports_scipy("import hybridlab.cli", tmp_path)
+
+
+@pytest.mark.parametrize("argv, scipy", [
+    (["diagnose", "--pair", "{pair}/manifest.json"], False),
+    (["counterexample", "--r", "1", "--R", "2", "--mmax", "5",
+      "--out", "family.csv"], False),
+    (["reconstruct", "--f", "{pair}/f2.field", "--g", "file:{pair}/u2.field",
+      "--k", "4", "--out", "recon"], False),
+    (["synth", "--config", "{pair}/../sweep.cfg", "--out", "pairs"], True),
+], ids=["diagnose", "counterexample", "reconstruct", "synth"])
+def test_only_commands_that_factor_import_scipy(tmp_path, stored_pair, argv,
+                                                scipy):
+    argv = [a.format(pair=stored_pair) for a in argv]
+    code = ("import contextlib, io; from hybridlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert _imports_scipy(code, tmp_path) is scipy

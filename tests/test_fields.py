@@ -351,6 +351,11 @@ def test_field_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(f2.values, f.values)
 
 
+def _v2(header: str, values, tail: bytes = b"") -> bytes:
+    """A hand-written field file: header line, float64 values, tail."""
+    return header.encode() + np.asarray(values, "<f8").tobytes() + tail
+
+
 def test_field_file_header_and_determinism(tmp_path):
     g = Grid(nx=3, lx=2.0)
     f = ScalarField(g, np.array([1.0, -0.5, 1e-17]))
@@ -358,14 +363,15 @@ def test_field_file_header_and_determinism(tmp_path):
     save_field(f, p1)
     save_field(f, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    first = p1.read_text().splitlines()[0]
-    assert first == "FIELD v1 3 1 2 0"
+    first = p1.read_bytes().split(b"\n", 1)[0]
+    assert first == b"FIELD v2 3 1 2 0"
 
 
 def test_field_file_bytes_match_the_per_value_writer(tmp_path):
-    # save_field formats every value in one step; the bytes must be those
-    # of formatting each value on its own, awkward values included (a
-    # ScalarField refuses nan and inf, so a stand-in carries them)
+    # the body is each value's own little-endian float64 bytes, awkward
+    # values included (a ScalarField refuses nan and inf, so a stand-in
+    # carries them): -0.0 keeps its sign, a subnormal its bits
+    import struct
     from types import SimpleNamespace
 
     values = np.array([-0.0, 0.0, 1e-300, 5e-324, -1.7976931348623157e308,
@@ -373,26 +379,67 @@ def test_field_file_bytes_match_the_per_value_writer(tmp_path):
     g = Grid(nx=4, ny=3, lx=1.5, ly=1.0)
     p = tmp_path / "awkward.field"
     save_field(SimpleNamespace(grid=g, values=values.reshape(g.shape)), p)
-    lines = ["FIELD v1 4 3 1.5 1"]
-    lines += [format(float(v), ".17g") for v in values]
-    assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+    body = b"".join(struct.pack("<d", v) for v in values)
+    assert p.read_bytes() == b"FIELD v2 4 3 1.5 1\n" + body
 
 
 def test_load_field_rejects_malformed(tmp_path):
+    # each file is a well-formed v2 file but for the one fault named
     p = tmp_path / "bad.field"
-    p.write_text("NOTAFIELD v1 3 1 1.0 0.0\n1\n2\n3\n")
-    with pytest.raises(ContractViolation):
+    cases = [
+        (_v2("NOTAFIELD v2 3 1 1.0 0.0\n", [1, 2, 3]), "not a FIELD v2 file"),
+        (_v2("FIELD v2 3 1 1.0 0.0\n", [1, 2]),
+         "16 bytes of values for a 3x1 grid, expected 24"),
+        (_v2("FIELD v2 3 1 1.0 0.0\n", [1, 2, 3], b"\n"),
+         "25 bytes of values for a 3x1 grid, expected 24"),
+        (_v2("FIELD v2 3 1 1.0 0.0\n", [1, np.inf, 3]),
+         "field values must be finite"),
+    ]
+    for data, reason in cases:
+        p.write_bytes(data)
+        with pytest.raises(ContractViolation, match=re.escape(reason)):
+            load_field(p)
+    p.write_bytes(_v2("FIELD v2 3 1 1.0 0.0\n", [1, 2, 3]))
+    assert load_field(p).values.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_load_field_refuses_v1_naming_the_file_and_the_conversion(tmp_path):
+    p = tmp_path / "old.field"
+    p.write_text("FIELD v1 3 1 1 0\n1\n2\n3\n")
+    with pytest.raises(ContractViolation) as info:
         load_field(p)
-    p.write_text("FIELD v1 3 1 1.0 0.0\n1\n2\n")
-    with pytest.raises(ContractViolation):
-        load_field(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: FIELD v1 text files are no longer read")
+    assert "np.loadtxt(path, skiprows=1).astype('<f8').tobytes()" in message
+
+
+def test_readme_converter_turns_v1_into_the_v2_file(tmp_path):
+    # the one-line converter in the README's "Field files" section
+    import shlex
+    import subprocess
+    import sys
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Field files", 1)[1]
+    line = re.search(r"^python3 -c .* old\.field new\.field$", section, re.M)
+    _, flag, code, *_ = shlex.split(line.group(0))
+    values = [1.0, -0.5, 1e-17, 5e-324, -0.0, 0.1, 1e300, -1.0 / 3.0, 2.5]
+    old, new = tmp_path / "old.field", tmp_path / "new.field"
+    old.write_text("FIELD v1 3 3 2 2\n"
+                   + "".join(format(v, ".17g") + "\n" for v in values))
+    subprocess.run([sys.executable, flag, code, str(old), str(new)],
+                   check=True, timeout=60)
+    expected = tmp_path / "expected.field"
+    save_field(ScalarField(Grid(nx=3, ny=3, lx=2.0, ly=2.0), values), expected)
+    assert new.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("extents", ["nan nan", "inf inf", "1 nan", "inf 1"])
 def test_load_field_rejects_non_finite_extents(tmp_path, extents):
     p = tmp_path / "bad.field"
-    p.write_text(f"FIELD v1 5 5 {extents}\n" + "1\n" * 25)
-    with pytest.raises(ContractViolation, match=re.escape(str(p))):
+    p.write_bytes(_v2(f"FIELD v2 5 5 {extents}\n", np.ones(25)))
+    with pytest.raises(ContractViolation,
+                       match=re.escape(str(p)) + ".*must be finite"):
         load_field(p)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import hybridlab.forward
 from hybridlab import Grid, NearSingularError, ScalarField
@@ -196,13 +197,13 @@ def _count_splu(monkeypatch):
     """The permc_spec of every splu call in hybridlab.forward, from a
     cleared per-grid cache."""
     calls = []
-    real_splu = hybridlab.forward.splu
+    real_splu = scipy.sparse.linalg.splu
 
     def counting_splu(matrix, **kwargs):
         calls.append(kwargs["permc_spec"])
         return real_splu(matrix, **kwargs)
 
-    monkeypatch.setattr(hybridlab.forward, "splu", counting_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     hybridlab.forward._pattern.cache_clear()
     return calls
 
@@ -364,7 +365,7 @@ def test_unconverged_gap_reaches_the_solve_report(monkeypatch):
 
     q = ScalarField.constant(Grid(nx=17, ny=17, lx=1.0, ly=1.0), 2.0)
     assert solve_dirichlet(q, coscos).gap_converged
-    monkeypatch.setattr(hybridlab.forward, "eigsh", failing_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
     rep = solve_dirichlet(q, coscos)
     assert rep.converged
     assert not rep.gap_converged

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import hybridlab.forward
 from hybridlab import ContractViolation, Grid, PriorBounds, UnderdeterminedFit
@@ -407,13 +408,13 @@ def test_sweep_orders_its_grid_once_and_factors_each_operator_once(
     # the minimum-degree ordering belongs to the grid: one sweep computes
     # it once, then factors its N+1 operators in that order
     calls = []
-    real_splu = hybridlab.forward.splu
+    real_splu = scipy.sparse.linalg.splu
 
     def counting_splu(matrix, **kwargs):
         calls.append(kwargs["permc_spec"])
         return real_splu(matrix, **kwargs)
 
-    monkeypatch.setattr(hybridlab.forward, "splu", counting_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     hybridlab.forward._pattern.cache_clear()
     cfg = small_sweep_config()
     with warnings.catch_warnings():
@@ -422,6 +423,21 @@ def test_sweep_orders_its_grid_once_and_factors_each_operator_once(
     cells = len(cfg.amplitudes) * cfg.seeds
     assert len(rep.samples) == cells
     assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (cells + 1)
+
+
+def test_sweep_samples_come_in_amplitude_seed_order(tmp_path):
+    # the config's amplitude order reaches neither report.samples nor the
+    # files
+    runs = {}
+    for amplitudes in ((0.5, 0.1), (0.1, 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = run_sweep(small_sweep_config(amplitudes=amplitudes))
+        assert [(s.amplitude, s.seed) for s in rep.samples] == [
+            (0.1, 0), (0.1, 1), (0.5, 0), (0.5, 1)]
+        files = emit_report(rep, tmp_path / str(amplitudes[0]))
+        runs[amplitudes] = {k: p.read_bytes() for k, p in files.items()}
+    assert runs[(0.5, 0.1)] == runs[(0.1, 0.5)]
 
 
 def test_sweep_base_solve_failure_fails_every_cell():
