@@ -27,7 +27,9 @@ pattern and its ordering do not depend on q, and each operator is
 assembled in that order and factored without reordering.  On the
 symmetric 5-point matrix this gives the factor that ordering each
 operator afresh gives, 0.57 of the fill of SuperLU's default COLAMD
-(nx = 65, q = 8).
+(nx = 65, q = 8).  Its supernodes are a few columns wide, so SuperLU
+runs its one-column kernel (_SUPERLU): 1.70 ms a factor at nx = 65, and
+0.30 ms at nx = 33, against 2.53 and 0.55 ms with its default panels.
 
 The gap is one shift-invert Lanczos run (ARPACK) for the eigenvalue of
 A^-1 of largest modulus on a 6-vector basis from a fixed start vector:
@@ -94,6 +96,12 @@ class EigenGap:
 # Lanczos basis of the gap's eigsh call (k = 1 < ncv <= n, as n > 3 there)
 _GAP_NCV = 6
 
+# SuperLU's one-column kernel: no panels, no relaxed supernodes (SuperLU
+# needs relax <= panel_size; relax=32, panel_size=4 aborts in free()).
+# Factor ms, best of 25, q = 8 plus a bump, default -> this: 0.546 ->
+# 0.304, 2.53 -> 1.70, 6.24 -> 4.62, 11.4 -> 8.6 at nx = 33, 65, 97, 129
+_SUPERLU = {"relax": 1, "panel_size": 1}
+
 
 def stencil(u: np.ndarray, h: float) -> np.ndarray:
     """The discrete Laplacian of the full field u at the interior nodes."""
@@ -128,7 +136,7 @@ def _pattern(grid: Grid):
     vals[:n] = -len(arms) / h2
     natural = sp.csc_array((vals, (rows, cols)), shape=(n, n))
     # perm_c[i] is the position of unknown i in the elimination order
-    rank = splu(natural, permc_spec="MMD_AT_PLUS_A").perm_c
+    rank = splu(natural, permc_spec="MMD_AT_PLUS_A", **_SUPERLU).perm_c
     lap = sp.csc_array((vals, (rank[rows], rank[cols])), shape=(n, n))
     column = np.repeat(np.arange(n), np.diff(lap.indptr))
     order = np.argsort(rank)
@@ -187,7 +195,7 @@ class DiscreteOperator:
         # from 85 to 97 MB
         from scipy.sparse.linalg import splu
         try:
-            return splu(self.matrix.copy(), permc_spec="NATURAL")
+            return splu(self.matrix.copy(), permc_spec="NATURAL", **_SUPERLU)
         except RuntimeError:
             return None
 

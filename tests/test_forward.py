@@ -194,13 +194,13 @@ def test_splu_path_used_and_contract_holds():
 
 
 def _count_splu(monkeypatch):
-    """The permc_spec of every splu call in hybridlab.forward, from a
-    cleared per-grid cache."""
+    """The keyword arguments of every splu call in hybridlab.forward,
+    from a cleared per-grid cache."""
     calls = []
     real_splu = scipy.sparse.linalg.splu
 
     def counting_splu(matrix, **kwargs):
-        calls.append(kwargs["permc_spec"])
+        calls.append(kwargs)
         return real_splu(matrix, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
@@ -218,11 +218,53 @@ def test_one_factorization_per_operator(monkeypatch):
         assert op.solve(g).method == "splu"
     assert op.eigen_gap().converged
     assert op.solve(0.5, source=ScalarField.constant(grid, 1.0)).converged
-    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    # both calls run SuperLU's one-column kernel
+    order = {"permc_spec": "MMD_AT_PLUS_A", **hybridlab.forward._SUPERLU}
+    factor = {"permc_spec": "NATURAL", **hybridlab.forward._SUPERLU}
+    assert calls == [order, factor]
     op2 = DiscreteOperator(ScalarField.constant(grid, 3.0))
     assert op2.solve(coscos).converged and op2.eigen_gap().converged
     assert op2.nodes is op.nodes
-    assert calls == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    assert calls == [order, factor, factor]
+
+
+def test_superlu_setting_keeps_relax_within_the_panel():
+    # SuperLU requires relax <= panel_size: relax=32, panel_size=4
+    # corrupts the heap and aborts the process
+    setting = hybridlab.forward._SUPERLU
+    assert set(setting) == {"relax", "panel_size"}
+    assert 1 <= setting["relax"] <= setting["panel_size"]
+
+
+@pytest.mark.parametrize("nx", [33, 65])
+@pytest.mark.parametrize("q", ["8", "25", "64+bump", "16+bump", "midpoint"])
+def test_one_column_kernel_solves_as_the_default_kernel(nx, q):
+    # on non-degenerate operators the one-column factor gives the default
+    # SuperLU factor's solution to rounding, and a rounding-level residual
+    from scipy.sparse.linalg import splu
+
+    from hybridlab.synthesis import perturb_coefficient
+
+    grid = Grid(nx=nx, ny=nx, lx=1.0, ly=1.0)
+    field = {
+        "8": lambda: ScalarField.constant(grid, 8.0),
+        "25": lambda: ScalarField.constant(grid, 25.0),
+        "64+bump": lambda: perturb_coefficient(
+            ScalarField.constant(grid, 64.0), "bump", 8.0, 2).field,
+        "16+bump": lambda: perturb_coefficient(
+            ScalarField.constant(grid, 16.0), "bump", 4.0, 0).field,
+        "midpoint": lambda: ScalarField.constant(
+            grid, _lowest_pair_midpoint(nx)),
+    }[q]()
+    op = DiscreteOperator(field)
+    report = op.solve(coscos)
+    assert not report.degenerate
+    x = report.u.values.take(op.nodes)
+    b = op._load(boundary_field(grid, coscos), None)
+    ref = splu(op.matrix.copy(), permc_spec="NATURAL").solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert (np.max(np.abs(op.matrix @ x - b))
+            <= 1e-13 * np.max(np.abs(b)))
 
 
 def _natural(op):
