@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import cache
 from pathlib import Path
 
 from .config import DEFAULTS, g_from_spec, parse_config
@@ -184,9 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on first use and then reused:
+    parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")

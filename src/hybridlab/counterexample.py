@@ -168,9 +168,11 @@ def _inner_data(a_m: float, x: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 14
 
 _F32_EPS = 2.0**-23
+# float64 rounding of the data against the exact product, with room to spare
+_F64_EPS = 2.0**-50
 
 
-def _screen_slack(r: float, a2: float) -> float:
+def _screen_slack(r: float, a2: float, eps: float = _F32_EPS) -> float:
     """Bound on |screen - exact| at any inner sample, with room to spare.
 
     For one member, casting its phase |sqrt(A) x| < sqrt(a2) r to
@@ -179,8 +181,20 @@ def _screen_slack(r: float, a2: float) -> float:
     2^-24.  The slack doubles that, takes it for both members, and adds
     1e-12 for the float64 rounding of the exact values; the doubling
     also absorbs the float32 rounding of the screen threshold.
+
+    With eps = _F64_EPS it bounds the float64 data (_inner_data) against
+    the exact product |cos^2(sqrt(A_2m) x) - cos^2(sqrt(A_m) x)| at a
+    float sample x.  A_m is within 9 * 2^-53 of its exact value,
+    relative (nine roundings, np.pi's included); its rounded square root
+    is within 5.5 * 2^-53 and the phase sqrt(A_m) x within 6.5 * 2^-53.
+    As sqrt(A_m) < 0.56 sqrt(A_2m), the two members' phase errors move
+    the gap by at most 10.1 * 2^-53 sqrt(a2) r < 5.1 * 2^-52 sqrt(a2) r,
+    and the cos, division, squaring and subtraction add about 20 * 2^-53,
+    inside the 1e-12.  The slack is 8 * 2^-52 sqrt(a2) r + 1e-12; the
+    largest error measured against extended precision, for m up to 400,
+    was 1.4 * 2^-52 sqrt(a2) r.
     """
-    return 2.0 * (np.sqrt(a2) * r * _F32_EPS + 4.0 * _F32_EPS) + 1e-12
+    return 2.0 * (np.sqrt(a2) * r * eps + 4.0 * eps) + 1e-12
 
 
 def _screen(a_m: float, x: np.ndarray) -> np.ndarray:
@@ -189,29 +203,91 @@ def _screen(a_m: float, x: np.ndarray) -> np.ndarray:
     return np.square(c, out=c)
 
 
+def _bands(r: float, rr: float, m: int, a1: float, a2: float):
+    """(seed, spans, step): the inner samples where the data gap's
+    maximum can lie are i * step + (-rr) for i in the index ranges
+    `spans`, and seed is the float64 data at one inner sample; see
+    _data_gap for the bound behind them.  Each band is padded by an
+    index for the rounding of its edges; when the bands meet, or seed
+    is NaN, the one span is the whole inner range.
+    """
+    lo, hi, step = _inner_range(r, rr, m)
+    offset = r / (4 * m)
+    # 40 samples a period put over 170 in the inner range: five fit
+    centres = [min(max(round((rr + s * offset) / step), lo + 2), hi - 3)
+               for s in (-1.0, 1.0)]
+    x = (np.add.outer(centres, np.arange(-2, 3)) * step + (-rr)).ravel()
+    seed = np.abs(_inner_data(a2, x) - _inner_data(a1, x)).max()
+    t = min(max(seed - _screen_slack(r, a2, _F64_EPS), -1.0), 1.0)
+    width = 4.0 * np.arccos(t) * r / np.pi
+    if 2.0 * width < r:
+        left_end = int((rr - r + width) / step) + 2
+        mid = (int((rr - width) / step) - 1, int((rr + width) / step) + 2)
+        right_start = int((rr + r - width) / step) - 1
+        if left_end < mid[0] and mid[1] < right_start:
+            return seed, [(lo, left_end), mid, (right_start, hi)], step
+    return seed, [(lo, hi)], step  # the bands meet; NaN lands here too
+
+
+def _blocks(spans):
+    """Index arrays of at most _BLOCK indices covering `spans` in order;
+    spans shorter than a block share one."""
+    parts, size = [], 0
+    for first, end in spans:
+        for start in range(first, end, _BLOCK):
+            part = np.arange(start, min(start + _BLOCK, end))
+            if size + part.size > _BLOCK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+            parts.append(part)
+            size += part.size
+    if parts:
+        yield np.concatenate(parts)
+
+
 def _data_gap(r: float, rr: float, m: int) -> float:
     """Sampled sup of |q_2m u_2m^2 - q_m u_m^2| over the inner samples.
 
-    Each block is screened in float32 first, and the float64 closed form
-    is evaluated only at the samples whose screen value is within twice
-    the slack of the block's largest: the sample holding the exact
-    maximum e* screens at least e* - slack, which is at least
-    best - 2 slack.  The result is therefore the same float as the exact
-    maximum over every inner sample; a non-finite screen value always
-    reaches the exact pass, so NaN propagates as in np.max.
+    The two members' data differ by cos^2(sqrt(A_2m) x) - cos^2(sqrt(A_m) x)
+    = -sin(S x) sin(D x), with D = sqrt(A_2m) - sqrt(A_m) = 2 m pi / r and
+    S = 3 D + pi / r.  So with phi = D x and psi = pi x / r the gap is
+    |sin(phi) sin(3 phi + psi)|.  Where it is at least t, |sin(phi)| >= t
+    puts phi = pi/2 + k pi + e with |e| <= arccos t, and then
+    |sin(3 phi + psi)| = |cos(3 e + psi)| >= t puts 3 e + psi within
+    arccos t of pi Z; so psi is within beta = 4 arccos t of pi Z, that is
+    |x| <= beta r / pi or |x| >= r - beta r / pi on |x| < r.
+
+    The seed is the largest float64 data over five samples around each
+    of x = +-r/(4m), where phi = pi/2 and the gap is cos(pi/(4m)).  The
+    float64 data are within slack64 = _screen_slack(r, A_2m, _F64_EPS)
+    of the exact gap (its docstring counts the roundings), so a sample
+    whose data reach the seed has an exact gap of at least
+    t = seed - slack64 and lies in the bands for that t (_bands).  Any
+    other inner sample has data below the seed, itself the data at an
+    inner sample, so the maximum over the bands and the seed is the
+    maximum over every inner sample.
+
+    On the bands, each block is screened in float32 first, and the
+    float64 closed form is evaluated only at the samples whose screen
+    value is within twice the slack of the block's largest: the sample
+    holding the block's exact maximum e* screens at least e* - slack,
+    which is at least best - 2 slack.  The result is therefore the same
+    float as the exact maximum over every inner sample; a non-finite
+    seed screens the whole inner range and a non-finite screen value
+    always reaches the exact pass, so NaN propagates as in np.max.
     """
-    lo, hi, step = _inner_range(r, rr, m)
     a1 = OscillatoryFamily(r=r, rr=rr, m=m).a_m
     a2 = OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m
+    seed, spans, step = _bands(r, rr, m, a1, a2)
     slack = _screen_slack(r, a2)
-    gap = 0.0
-    for start in range(lo, hi, _BLOCK):
-        x = np.arange(start, min(start + _BLOCK, hi)) * step + (-rr)
+    gap = seed
+    for idx in _blocks(spans):
+        x = idx * step + (-rr)
         screen = np.abs(_screen(a2, x) - _screen(a1, x))
         # `not <` keeps NaN, and a NaN best keeps the whole block
         x = x[~(screen < screen.max() - 2.0 * slack)]
-        gap = np.max(np.abs(_inner_data(a2, x) - _inner_data(a1, x)),
-                     initial=gap)
+        gap = np.maximum.reduce(
+            np.abs(_inner_data(a2, x) - _inner_data(a1, x)), initial=gap)
     return float(gap)
 
 
@@ -225,12 +301,22 @@ def pathology_table(r: float, rr: float, m_max: int) -> list[PathologyRow]:
     data are evaluated in closed form, A_m (cos(sqrt(A_m) x) / sqrt(A_m))^2,
     the same floats as eval_q * eval_u**2 without their branch and
     domain checks, in blocks of 2^14 samples so that memory stays flat
-    as m grows.  Each block is screened in float32 and evaluated in
-    float64 only where its maximum can be (see _data_gap), so every
-    data_gap is the exact float64 maximum over the inner samples, the
-    same bytes as evaluating all of them.  Coefficient gaps are closed
-    form, for p = 1 and p = inf; k_required = A_m names the hypothesis
-    that fails.
+    as m grows.
+
+    Only the samples where the maximum can lie are evaluated (see
+    _bands).  The gap is |sin(phi) sin(3 phi + psi)| with
+    phi = 2 m pi x / r and psi = pi x / r, and a gap of at least t puts
+    phi within arccos t of pi/2 + pi Z and then psi within 4 arccos t of
+    pi Z.  t is the float64 data at a few samples near x = +-r/(4m),
+    less slack64 = _screen_slack(r, A_2m, 2^-50), which bounds the
+    float64 rounding of the data against the exact gap; so every sample
+    outside the bands |x| <= 4 arccos(t) r / pi and
+    |x| >= r - 4 arccos(t) r / pi has data below the seed.  On the
+    bands each block is screened in float32 and evaluated in float64
+    only where its maximum can be (see _data_gap), so every data_gap is
+    the exact float64 maximum over the inner samples, the same bytes as
+    evaluating all of them.  Coefficient gaps are closed form, for p = 1
+    and p = inf; k_required = A_m names the hypothesis that fails.
     """
     if m_max < 1:
         raise ContractViolation(f"m_max must be >= 1, got {m_max}")

@@ -31,9 +31,11 @@ from .fields import (
     ScalarField,
     as_point,
     ball_mask,
+    full_mask,
     integrate,
     interior_mask,
     mask_measure,
+    masked_sum,
     norms,
 )
 from .synthesis import ExperimentPair
@@ -59,9 +61,9 @@ TAU_AP = 1e-12
 DENOM_FLOOR = 1e-300
 
 
-def _sq_ball_integral(u: ScalarField, center, r: float) -> float:
-    mask = ball_mask(u.grid, center, r)
-    return integrate(ScalarField(u.grid, u.values**2), mask)
+def _sq_integral(u: ScalarField, mask: np.ndarray) -> float:
+    """Integral of u^2 over the masked nodes, squaring only those."""
+    return masked_sum(u.grid, mask, u.values[mask] ** 2)
 
 
 def _require_ball_inside(grid: Grid, center, r: float) -> None:
@@ -83,21 +85,21 @@ def doubling_ratio(u: ScalarField, center, r: float) -> float:
     center, which the oscillatory 1D family demonstrates.
     """
     _require_ball_inside(u.grid, center, 2.0 * r)
-    denom = _sq_ball_integral(u, center, r)
+    denom = _sq_integral(u, ball_mask(u.grid, center, r))
     if denom < DENOM_FLOOR:
         raise DegenerateBall(
             f"inner ball at {center}, r={r} carries no u^2 mass"
         )
-    return _sq_ball_integral(u, center, 2.0 * r) / denom
+    return _sq_integral(u, ball_mask(u.grid, center, 2.0 * r)) / denom
 
 
 def propagation_ratio(u: ScalarField, center, r: float) -> float:
     """Fraction of the global u^2 mass seen by B_r(center), in [0, 1]."""
     _require_ball_inside(u.grid, center, r)
-    total = integrate(ScalarField(u.grid, u.values**2))
+    total = _sq_integral(u, full_mask(u.grid))
     if total < DENOM_FLOOR:
         raise ContractViolation("u vanishes identically; ratio undefined")
-    return _sq_ball_integral(u, center, r) / total
+    return _sq_integral(u, ball_mask(u.grid, center, r)) / total
 
 
 def muckenhoupt_value(u: ScalarField, center, r: float, p: float):
@@ -113,13 +115,11 @@ def muckenhoupt_value(u: ScalarField, center, r: float, p: float):
     measure = mask_measure(u.grid, mask)
     if measure <= 0.0:
         raise DegenerateBall(f"ball at {center}, r={r} contains no nodes")
-    absu = np.abs(u.values)
-    hits = int(np.count_nonzero(mask & (absu < TAU_AP)))
+    absu = np.abs(u.values[mask])
+    hits = int(np.count_nonzero(absu < TAU_AP))
     floored = np.maximum(absu, TAU_AP)
-    avg_sq = integrate(ScalarField(u.grid, u.values**2), mask) / measure
-    avg_neg = integrate(
-        ScalarField(u.grid, floored ** (-2.0 / (p - 1.0))), mask
-    ) / measure
+    avg_sq = _sq_integral(u, mask) / measure
+    avg_neg = masked_sum(u.grid, mask, floored ** (-2.0 / (p - 1.0))) / measure
     return avg_sq * avg_neg ** (p - 1.0), hits
 
 

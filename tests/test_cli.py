@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hybridlab.cli as cli
 import hybridlab.harness as harness
 from hybridlab import Grid, PriorBounds, ScalarField, load_field, save_field
 from hybridlab.cli import build_parser, main
@@ -404,6 +405,24 @@ def test_parser_defaults_are_the_config_defaults():
     assert fwd.tol == float(DEFAULTS["solver.tol"])
     assert rec.tol == float(DEFAULTS["recon.tol"])
     assert rec.max_iter == int(DEFAULTS["recon.max_iter"])
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["counterexample", "--r", "1", "--R", "2", "--mmax",
+                         "2", "--out", str(tmp_path / "family.csv")]) == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_sweep_bad_config_key_is_contract_error(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Oscillatory family tests: closed forms, instability table, residuals."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
+import hybridlab.counterexample as counterexample
 from hybridlab import ContractViolation
+from hybridlab.cli import main
 from hybridlab.counterexample import (
     OscillatoryFamily,
-    _BLOCK,
+    _bands,
+    _blocks,
     _data_gap,
     _inner_data,
     _inner_range,
@@ -88,14 +92,16 @@ def test_data_gap_bounded_by_two_for_twenty_members():
 
 @pytest.mark.parametrize("r, rr, m_max", [(1.0, 2.0, 6), (0.3, 2.5, 4),
                                            (1.7, 1.8, 5), (1.0, 2.0, 110)])
-def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max):
+def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max, monkeypatch):
     # outside |x| < r both members share q = 1 and u, so the samples the
-    # table skips contribute exact zeros; at m_max = 110 the last members
-    # span more than one block of inner samples
-    rows = pathology_table(r, rr, m_max)
+    # table skips contribute exact zeros; at m_max = 110 blocks are cut to
+    # 2^8 samples, so that some members screen more than one block
     if m_max == 110:
-        lo, hi, _ = _inner_range(r, rr, m_max)
-        assert hi - lo > _BLOCK
+        monkeypatch.setattr(counterexample, "_BLOCK", 1 << 8)
+        blocks = [len(list(_blocks(_members_bands(r, rr, m)[3])))
+                  for m in range(1, m_max + 1)]
+        assert max(blocks) > 1
+    rows = pathology_table(r, rr, m_max)
     for row in rows:
         x = np.linspace(-rr, rr, _sample_count(r, rr, row.m))
         fam = OscillatoryFamily(r=r, rr=rr, m=row.m)
@@ -103,6 +109,42 @@ def test_data_gap_equals_whole_interval_evaluation(r, rr, m_max):
         whole = np.max(np.abs(eval_q(fam2, x) * eval_u(fam2, x) ** 2
                               - eval_q(fam, x) * eval_u(fam, x) ** 2))
         assert row.data_gap == whole
+
+
+def _members_bands(r, rr, m):
+    a1 = OscillatoryFamily(r=r, rr=rr, m=m).a_m
+    a2 = OscillatoryFamily(r=r, rr=rr, m=2 * m).a_m
+    return (a1, a2, *_bands(r, rr, m, a1, a2))
+
+
+@pytest.mark.parametrize("r, rr", [(1.0, 2.0), (0.3, 2.5), (1.7, 1.8),
+                                   (0.999, 1.0), (3.0, 3.1), (0.1, 0.2)])
+@pytest.mark.parametrize("m", [2, 3, 10, 50, 200, 333])
+def test_samples_outside_the_bands_stay_below_the_seed(r, rr, m):
+    # the bound behind the bands: an inner sample outside them cannot
+    # reach the seed, which is the data at an inner sample
+    a1, a2, seed, spans, step = _members_bands(r, rr, m)
+    lo, hi, _ = _inner_range(r, rr, m)
+    x = np.arange(lo, hi) * step + (-rr)
+    data = np.abs(_inner_data(a2, x) - _inner_data(a1, x))
+    assert seed in data
+    inside = np.zeros(hi - lo, dtype=bool)
+    for first, end in spans:
+        inside[max(first, lo) - lo:max(end, lo) - lo] = True
+    assert np.all(data[~inside] < seed)
+    if m >= 10:
+        assert not inside.all()
+
+
+@pytest.mark.parametrize("spans", [[(0, 5)], [(0, 100), (300, 310)],
+                                   [(0, 3), (10, 14), (20, 21)],
+                                   [(5, 4), (7, 700), (800, 799)]])
+def test_blocks_cover_the_spans_in_order(spans, monkeypatch):
+    monkeypatch.setattr(counterexample, "_BLOCK", 8)
+    blocks = list(_blocks(spans))
+    assert all(0 < len(block) <= 8 for block in blocks)
+    assert np.concatenate(blocks).tolist() == [
+        i for first, end in spans for i in range(first, end)]
 
 
 def _unscreened_gap(r, rr, m):
@@ -124,6 +166,30 @@ def test_screened_table_equals_unscreened_evaluation():
     assert [row.m for row in rows] == list(range(1, 401))
     for row in rows:
         assert row.data_gap == _unscreened_gap(1.0, 2.0, row.m), row.m
+
+
+def test_table_screens_at_most_a_tenth_of_its_inner_samples(monkeypatch):
+    # the bands leave 92% of the benchmark table's samples unscreened
+    screened = []
+
+    def counting(a_m, x):
+        screened.append(x.size)
+        return _screen(a_m, x)
+
+    monkeypatch.setattr(counterexample, "_screen", counting)
+    pathology_table(1.0, 2.0, 400)
+    inner = sum(hi - lo for lo, hi, _ in
+                (_inner_range(1.0, 2.0, m) for m in range(1, 401)))
+    assert inner == 12_842_232
+    assert sum(screened) / 2 <= 0.1 * inner
+
+
+def test_family_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "family.csv"
+    assert main(["counterexample", "--r", "1", "--R", "2", "--mmax", "400",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d69eede3f9e53df96027a01a1add3eda3954d50b2a71aab9035fc2f6b24f68eb")
 
 
 @pytest.mark.parametrize("r, rr", [(0.3, 2.5), (1.7, 1.8), (0.999, 1.0),

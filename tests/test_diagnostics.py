@@ -17,6 +17,7 @@ from hybridlab import (
 )
 from hybridlab.diagnostics import (
     CSV_COLUMNS,
+    TAU_AP,
     DiagnosticsReport,
     collect_diagnostics,
     delta_from_p,
@@ -35,6 +36,7 @@ from hybridlab.counterexample import (
 )
 from hybridlab.fields import (
     ball_mask,
+    integrate,
     interior_mask,
     mask_measure,
     write_csv,
@@ -395,6 +397,52 @@ def test_collect_diagnostics_deterministic_files(tmp_path):
     assert set(summary) == {"max_doubling", "min_propagation", "best_delta",
                             "proof_bound_margin"}
     assert summary["proof_bound_margin"] <= 1.0
+
+
+def _full_field_ball_rows(pair):
+    """The doubling, propagation and A_p rows by the full-field formulas:
+    u^2 and |u|^(-2/(p-1)) built as ScalarFields on the whole grid and
+    integrated over freshly built ball masks."""
+    grid, u = pair.grid, pair.u1
+    short = grid.lx if grid.is_1d else min(grid.lx, grid.ly)
+    r = short / 8.0
+    X, Y = grid.meshgrid()
+    sq = ScalarField(grid, u.values**2)
+    absu = np.abs(u.values)
+    floored = np.maximum(absu, TAU_AP)
+    fracs = [f for f in (0.3, 0.5, 0.7) if 2 * r < f < 1 - 2 * r]
+    centers = ([(f * grid.lx, 0.0) for f in fracs] if grid.is_1d else
+               [(x * grid.lx, y * grid.ly) for y in fracs for x in fracs])
+    doubling, propagation, ap = [], [], []
+    for c in centers:
+        inner = (X - c[0]) ** 2 + (Y - c[1]) ** 2 < r * r
+        outer = (X - c[0]) ** 2 + (Y - c[1]) ** 2 < (2 * r) ** 2
+        doubling.append(("doubling", *c, r, "",
+                         integrate(sq, outer) / integrate(sq, inner), 0))
+        propagation.append(("propagation", *c, r, "",
+                            integrate(sq, inner) / integrate(sq), 0))
+        measure = mask_measure(grid, inner)
+        for p in (1.5, 2.0, 3.0):
+            neg = ScalarField(grid, floored ** (-2.0 / (p - 1.0)))
+            value = (integrate(sq, inner) / measure
+                     * (integrate(neg, inner) / measure) ** (p - 1.0))
+            hits = int(np.count_nonzero(inner & (absu < TAU_AP)))
+            ap.append(("muckenhoupt", *c, r, p, value, hits))
+    return [*sorted(doubling), *sorted(propagation), *sorted(ap)]
+
+
+def test_ball_rows_equal_the_full_field_formulas():
+    # the ball functionals integrate only the ball's nodes, with the same
+    # products and summation order as integrate on a full-grid field
+    line = Grid(nx=129, lx=1.0)
+    q1 = ScalarField.constant(line, 2.0)
+    q2 = perturb_coefficient(q1, "bump", 0.2, seed=3, bounds=BOUNDS).field
+    for pair in (make_test_pair(seed=3, amplitude=0.8, nx=97),
+                 make_pair(q1, q2, np.array([1.0, 1.0]), BOUNDS)):
+        rows = [row for row in collect_diagnostics(pair).rows
+                if row[0] in ("doubling", "propagation", "muckenhoupt")]
+        assert len(rows) == (45 if pair.grid.ny > 1 else 15)
+        assert rows == _full_field_ball_rows(pair)
 
 
 def test_collect_diagnostics_1d_pair():

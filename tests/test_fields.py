@@ -228,6 +228,22 @@ def test_ball_mask_1d():
     assert m.sum() == 3  # nodes 0.4, 0.5, 0.6
 
 
+def test_ball_mask_is_shared_and_read_only():
+    # built once per (grid, center, r) like interior_mask, so no caller
+    # may edit it
+    g = Grid(nx=9, ny=9, lx=1.0, ly=1.0)
+    m = ball_mask(g, (0.5, 0.5), 0.3)
+    assert ball_mask(Grid(nx=9, ny=9, lx=1.0, ly=1.0), [0.5, 0.5], 0.3) is m
+    assert ball_mask(g, (0.5, 0.5), 0.25) is not m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[4, 4] = False
+    X, Y = g.meshgrid()
+    np.testing.assert_array_equal(m, (X - 0.5) ** 2 + (Y - 0.5) ** 2 < 0.09)
+    line = Grid(nx=11, lx=1.0)
+    assert ball_mask(line, 0.5, 0.15) is ball_mask(line, (0.5, 0.0), 0.15)
+
+
 # --- norms ------------------------------------------------------------------
 
 def test_norms_of_sine():
